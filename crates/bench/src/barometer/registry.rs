@@ -79,6 +79,9 @@ pub enum Stage {
     ServeLoadEventWall,
     /// Wall-clock nanoseconds per completed request, blocking server.
     ServeLoadBlockingWall,
+    /// One `WorkPool::map_indexed` over `size` trivial items: the
+    /// pool's fixed cost per map.
+    PoolMapOverhead,
 }
 
 impl Stage {
@@ -112,6 +115,7 @@ impl Stage {
             "serve_load_blocking_p99" => Stage::ServeLoadBlockingP99,
             "serve_load_event_wall" => Stage::ServeLoadEventWall,
             "serve_load_blocking_wall" => Stage::ServeLoadBlockingWall,
+            "pool_map_overhead" => Stage::PoolMapOverhead,
             _ => return None,
         })
     }

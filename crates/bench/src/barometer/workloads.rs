@@ -363,6 +363,12 @@ pub fn measure(def: &BenchDef, samples: usize, effective_threads: usize) -> Resu
         Stage::ServeLoadBlockingWall => {
             serve_load(false, ServeStat::Wall, def.size, threads, samples)?
         }
+        Stage::PoolMapOverhead => {
+            let pool = WorkPool::new(threads);
+            run_samples(batch, samples, |_| {
+                black_box(pool.map_indexed(def.size, black_box));
+            })
+        }
         Stage::SnippetInproc => {
             // The replay gate's baseline: the same codelets and contexts
             // executed straight from the in-process suite, no pack in
@@ -423,6 +429,10 @@ fn serve_load(
     samples: usize,
 ) -> Result<Vec<f64>, String> {
     let dir = bench_dir(if event_loop { "serve-event" } else { "serve-blocking" });
+    // `Service::new` switches the tracer on for the whole process, as
+    // the daemon runs; switch it back off afterwards so the rows that
+    // follow are measured untraced, as in a run filtered down to them.
+    let was_traced = fgbs_trace::enabled();
     let store =
         std::sync::Arc::new(Store::open(&dir).map_err(|e| format!("bench serve store: {e}"))?);
     let service = std::sync::Arc::new(Service::new(
@@ -462,6 +472,10 @@ fn serve_load(
     }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    if !was_traced {
+        fgbs_trace::set_enabled(false);
+        let _ = fgbs_trace::drain();
+    }
     Ok(out)
 }
 

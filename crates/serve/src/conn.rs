@@ -24,7 +24,7 @@ use crate::{LoopOptions, ServeOptions};
 pub(crate) enum State {
     /// Waiting for (more of) a request frame.
     Reading,
-    /// A request is out with the executor; reads are paused
+    /// A request is out with the worker pool; reads are paused
     /// (backpressure) until its response comes back.
     Dispatched,
     /// Draining a rendered response into the transport.
@@ -36,7 +36,7 @@ pub(crate) enum State {
 pub(crate) enum Step {
     /// Nothing actionable; wait for more readiness or time.
     Wait,
-    /// A complete request was parsed — hand it to the executor.
+    /// A complete request was parsed — hand it to the worker pool.
     Dispatch(Request),
     /// Close the connection now (deregister + drop).
     Close,

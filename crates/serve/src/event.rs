@@ -2,25 +2,26 @@
 //!
 //! One reactor thread owns the listener, every connection's
 //! [`Conn`] state machine, and an epoll [`Poller`]; request handling
-//! runs on the [`Executor`] as before. The cycle per reactor turn:
+//! runs as jobs on the process-wide [`WorkPool`]. The cycle per reactor
+//! turn:
 //!
 //! 1. `wait` for readiness (or the nearest connection deadline).
 //! 2. Accept new connections; pump readable/writable connections
 //!    through their state machines, collecting parsed requests.
-//! 3. Drain handler completions (pushed by executor workers, who wake
-//!    the reactor through the poller's wake fd) into response writes.
+//! 3. Drain handler completions (pushed by pool workers, who wake the
+//!    reactor through the poller's wake fd) into response writes.
 //! 4. Enforce read/write deadlines (`408`, idle close, poisoning).
 //! 5. Submit the turn's requests: each passes **admission control**
 //!    (shed with a `503` when `queue depth × EWMA endpoint latency`
-//!    already exceeds its deadline), then singles go to the executor
-//!    directly while a turn with several requests is **batched** into
-//!    one executor job that fans the whole group over a single
-//!    [`WorkPool`] pass — concurrent `/predict` misses for different
-//!    suites share one parallel sweep instead of queueing serially.
+//!    already exceeds its deadline, the depth being the loop's own
+//!    count of dispatched, unanswered requests), then becomes one pool
+//!    job. Requests never share a job, so a store hit never waits out
+//!    another request's computation.
 //!
 //! Shutdown is an atomic flag plus a wake-fd signal — no self-connect.
-//! The executor drains already-dispatched requests and their responses
-//! get a best-effort final flush.
+//! The loop stops accepting and reading, waits until every dispatched
+//! request is answered, and gives each response a best-effort final
+//! flush.
 
 use std::collections::HashMap;
 use std::io;
@@ -31,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fgbs_pool::{Executor, WorkPool};
+use fgbs_pool::WorkPool;
 use fgbs_reactor::{Interest, Poller, Waker, WAKE_TOKEN};
 use parking_lot::Mutex;
 
@@ -69,7 +70,9 @@ pub(crate) fn spawn(
         listener,
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
-        exec: Executor::new(threads),
+        pool: WorkPool::new(threads),
+        dispatches: Vec::new(),
+        pending: 0,
         completions: Arc::new(Mutex::new(Vec::new())),
         waker: waker.clone(),
         service,
@@ -93,7 +96,12 @@ struct Loop {
     listener: TcpListener,
     conns: HashMap<u64, Registered>,
     next_token: u64,
-    exec: Executor,
+    pool: WorkPool,
+    /// Requests parsed this turn, waiting for admission and submission.
+    dispatches: Vec<(u64, Request)>,
+    /// Requests submitted to the pool whose responses have not been
+    /// drained yet: the admission queue depth and the shutdown latch.
+    pending: u64,
     completions: Arc<Mutex<Vec<(u64, Response)>>>,
     waker: Waker,
     service: Arc<Service>,
@@ -105,28 +113,25 @@ struct Loop {
 impl Loop {
     fn run(mut self) {
         let mut events = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            if self.poller.wait(&mut events, self.next_timeout()).is_err() {
-                break;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
+        while !self.shutdown.load(Ordering::Acquire) {
+            if self.poller.wait(&mut events, self.next_timeout()).is_err()
+                || self.shutdown.load(Ordering::Acquire)
+            {
                 break;
             }
             let now = Instant::now();
-            let mut dispatches: Vec<(u64, Request)> = Vec::new();
             for &ev in &events {
                 match ev.token {
                     WAKE_TOKEN => {}
                     LISTENER_TOKEN => self.accept(now),
-                    token => self.on_conn_event(token, ev, now, &mut dispatches),
+                    token => self.on_conn_event(token, ev, now),
                 }
             }
-            self.drain_completions(now, &mut dispatches);
-            self.tick(now, &mut dispatches);
-            self.submit(dispatches, now);
+            for (token, response) in self.take_completions() {
+                self.complete(token, response, now);
+            }
+            self.tick(now);
+            self.submit(now);
         }
         self.finish();
     }
@@ -143,48 +148,38 @@ impl Loop {
     }
 
     fn accept(&mut self, now: Instant) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Chaos failpoint: a `delay` rule stalls the accept
-                    // path, simulating listener backpressure.
-                    fgbs_fault::maybe_delay("serve.accept");
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    if let Some(bytes) = self.tuning.sndbuf {
-                        let _ = fgbs_reactor::set_send_buffer(stream.as_raw_fd(), bytes);
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READABLE)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Registered {
-                            conn: Conn::new(stream, now, self.opts, self.tuning),
-                            interest: Interest::READABLE,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+        // Until `WouldBlock` (the backlog is drained) or an error, which
+        // the next readiness turn retries.
+        while let Ok((stream, _)) = self.listener.accept() {
+            // Chaos failpoint: a `delay` rule stalls the accept path,
+            // simulating listener backpressure.
+            fgbs_fault::maybe_delay("serve.accept");
+            if stream.set_nonblocking(true).is_err() {
+                continue;
             }
+            if let Some(bytes) = self.tuning.sndbuf {
+                let _ = fgbs_reactor::set_send_buffer(stream.as_raw_fd(), bytes);
+            }
+            let token = self.next_token;
+            self.next_token += 1;
+            if self
+                .poller
+                .register(stream.as_raw_fd(), token, Interest::READABLE)
+                .is_err()
+            {
+                continue;
+            }
+            self.conns.insert(
+                token,
+                Registered {
+                    conn: Conn::new(stream, now, self.opts, self.tuning),
+                    interest: Interest::READABLE,
+                },
+            );
         }
     }
 
-    fn on_conn_event(
-        &mut self,
-        token: u64,
-        ev: fgbs_reactor::Event,
-        now: Instant,
-        dispatches: &mut Vec<(u64, Request)>,
-    ) {
+    fn on_conn_event(&mut self, token: u64, ev: fgbs_reactor::Event, now: Instant) {
         let Some(reg) = self.conns.get_mut(&token) else {
             return;
         };
@@ -218,34 +213,29 @@ impl Loop {
             // observe the close.
             _ => Step::Wait,
         };
-        self.apply(token, step, now, dispatches);
+        self.apply(token, step);
     }
 
-    fn drain_completions(&mut self, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
-        let done: Vec<(u64, Response)> = std::mem::take(&mut *self.completions.lock());
-        for (token, response) in done {
-            self.complete(token, response, now, dispatches);
-        }
+    /// Responses posted by workers since the last call; each one
+    /// answers a pending request.
+    fn take_completions(&mut self) -> Vec<(u64, Response)> {
+        let done = std::mem::take(&mut *self.completions.lock());
+        self.pending -= done.len() as u64;
+        done
     }
 
     /// Hand a finished response to its connection and start (or finish)
     /// writing it immediately.
-    fn complete(
-        &mut self,
-        token: u64,
-        response: Response,
-        now: Instant,
-        dispatches: &mut Vec<(u64, Request)>,
-    ) {
+    fn complete(&mut self, token: u64, response: Response, now: Instant) {
         let Some(reg) = self.conns.get_mut(&token) else {
             return; // connection died while the handler ran
         };
         reg.conn.on_response(response, now);
         let step = reg.conn.on_writable(now);
-        self.apply(token, step, now, dispatches);
+        self.apply(token, step);
     }
 
-    fn tick(&mut self, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
+    fn tick(&mut self, now: Instant) {
         let due: Vec<u64> = self
             .conns
             .iter()
@@ -261,16 +251,15 @@ impl Loop {
                 Step::Wait if reg.conn.state() == State::Writing => reg.conn.on_writable(now),
                 s => s,
             };
-            self.apply(token, step, now, dispatches);
+            self.apply(token, step);
         }
     }
 
-    fn apply(&mut self, token: u64, step: Step, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
-        let _ = now;
+    fn apply(&mut self, token: u64, step: Step) {
         match step {
             Step::Wait => self.sync_interest(token),
             Step::Dispatch(request) => {
-                dispatches.push((token, request));
+                self.dispatches.push((token, request));
                 self.sync_interest(token);
             }
             Step::Close => self.close(token),
@@ -310,73 +299,55 @@ impl Loop {
     }
 
     /// Submit the turn's parsed requests. Each is admission-checked
-    /// against the current queue depth; survivors go to the executor —
-    /// one job for a single request, one *batched* job (a shared
-    /// [`WorkPool`] pass) when the turn produced several.
-    fn submit(&mut self, mut dispatches: Vec<(u64, Request)>, now: Instant) {
-        while !dispatches.is_empty() {
-            let round = std::mem::take(&mut dispatches);
-            let mut jobs: Vec<(u64, Request)> = Vec::with_capacity(round.len());
-            for (token, request) in round {
-                let depth = self.exec.submitted().saturating_sub(self.exec.completed());
-                match self.service.admission_check(&request, depth) {
-                    Some(shed) => {
-                        // Answer right here — shedding must not consume
-                        // the queue capacity it is protecting. Writing
-                        // the 503 may surface the connection's next
-                        // pipelined request; it joins `dispatches` for
-                        // the next round of this loop.
-                        self.complete(token, shed, now, &mut dispatches);
-                    }
-                    None => jobs.push((token, request)),
+    /// against the requests already dispatched and unanswered; each
+    /// survivor becomes one pool job.
+    fn submit(&mut self, now: Instant) {
+        while !self.dispatches.is_empty() {
+            for (token, request) in std::mem::take(&mut self.dispatches) {
+                if let Some(shed) = self.service.admission_check(&request, self.pending) {
+                    // Answer right here — shedding must not consume the
+                    // queue capacity it is protecting. Writing the 503
+                    // may surface the connection's next pipelined
+                    // request; it joins `dispatches` for the next round
+                    // of this loop.
+                    self.complete(token, shed, now);
+                    continue;
                 }
-            }
-            if jobs.is_empty() {
-                continue;
-            }
-            self.service.note_batch(jobs.len() as u64);
-            let svc = Arc::clone(&self.service);
-            let completions = Arc::clone(&self.completions);
-            let waker = self.waker.clone();
-            if jobs.len() == 1 {
-                let (token, request) = jobs.pop().expect("len checked");
-                self.exec.submit(move || {
+                self.pending += 1;
+                let svc = Arc::clone(&self.service);
+                let completions = Arc::clone(&self.completions);
+                let waker = self.waker.clone();
+                self.pool.submit(move || {
                     let response = guarded_handle(&svc, &request);
                     completions.lock().push((token, response));
-                    let _ = waker.wake();
-                });
-            } else {
-                self.exec.submit(move || {
-                    let pool = WorkPool::new(0);
-                    let results =
-                        pool.map(&jobs, |_, (token, request)| (*token, guarded_handle(&svc, request)));
-                    completions.lock().extend(results);
                     let _ = waker.wake();
                 });
             }
         }
     }
 
-    /// Graceful shutdown: the executor drop finishes every dispatched
-    /// request, then their responses get one best-effort flush.
-    fn finish(self) {
-        let Loop {
-            poller,
-            exec,
-            completions,
-            mut conns,
-            ..
-        } = self;
-        drop(exec);
-        let now = Instant::now();
-        for (token, response) in completions.lock().drain(..) {
-            if let Some(reg) = conns.get_mut(&token) {
-                reg.conn.on_response(response, now);
-                let _ = reg.conn.on_writable(now);
-            }
+    /// Graceful shutdown: stop accepting and reading, wait until every
+    /// dispatched request is answered, and give each response one
+    /// best-effort write.
+    fn finish(mut self) {
+        let _ = self.poller.deregister(self.listener.as_raw_fd());
+        for reg in self.conns.values() {
+            let _ = self.poller.deregister(reg.conn.stream().as_raw_fd());
         }
-        for (_, reg) in conns.drain() {
-            let _ = poller.deregister(reg.conn.stream().as_raw_fd());
+        // Only the wake fd is left registered, so each wait below ends
+        // when a worker posts a completion.
+        let mut events = Vec::new();
+        loop {
+            let now = Instant::now();
+            for (token, response) in self.take_completions() {
+                if let Some(reg) = self.conns.get_mut(&token) {
+                    reg.conn.on_response(response, now);
+                    let _ = reg.conn.on_writable(now);
+                }
+            }
+            if self.pending == 0 || self.poller.wait(&mut events, None).is_err() {
+                break;
+            }
         }
     }
 }

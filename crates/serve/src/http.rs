@@ -319,13 +319,7 @@ pub struct Response {
 impl Response {
     /// A 200 response from a JSON value.
     pub fn json(value: &Json) -> Response {
-        Response {
-            status: 200,
-            source: None,
-            request_id: 0,
-            content_type: None,
-            body: value.render().into_bytes(),
-        }
+        Response::json_bytes(value.render().into_bytes())
     }
 
     /// A 200 response replaying pre-rendered JSON bytes.
@@ -342,11 +336,8 @@ impl Response {
     /// A 200 plain-text response (Prometheus exposition).
     pub fn text(body: String) -> Response {
         Response {
-            status: 200,
-            source: None,
-            request_id: 0,
             content_type: Some("text/plain; version=0.0.4"),
-            body: body.into_bytes(),
+            ..Response::json_bytes(body.into_bytes())
         }
     }
 
@@ -354,12 +345,7 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Response {
         Response {
             status,
-            source: None,
-            request_id: 0,
-            content_type: None,
-            body: Json::obj(vec![("error", Json::str(message))])
-                .render()
-                .into_bytes(),
+            ..Response::json(&Json::obj(vec![("error", Json::str(message))]))
         }
     }
 

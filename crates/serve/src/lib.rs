@@ -5,11 +5,12 @@
 //! [`std::net::TcpListener`]. On Linux it runs a readiness-driven
 //! event loop (`fgbs-reactor` over epoll) with per-connection state
 //! machines: HTTP/1.1 keep-alive and pipelining, per-connection request
-//! budgets, admission-controlled load shedding, and cross-key request
-//! batching onto a shared [`fgbs_pool::WorkPool`] pass. Elsewhere (or
-//! with [`LoopOptions::event_loop`] off) it falls back to a blocking
-//! accept loop dispatching one-shot connections onto a fixed-size
-//! [`fgbs_pool::Executor`]. Endpoints:
+//! budgets, and admission-controlled load shedding; every request runs
+//! as its own job on the process-wide [`fgbs_pool::WorkPool`]. Elsewhere
+//! (or with [`LoopOptions::event_loop`] off) it falls back to a blocking
+//! accept loop submitting one job per one-shot connection to the same
+//! pool. Either way, shutdown waits until every request already
+//! dispatched has been answered. Endpoints:
 //!
 //! | endpoint         | purpose                                        |
 //! |------------------|------------------------------------------------|
@@ -45,7 +46,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use fgbs_pool::Executor;
+use fgbs_pool::WorkPool;
 
 mod conn;
 #[cfg(target_os = "linux")]
@@ -96,7 +97,7 @@ impl Default for ServeOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopOptions {
     /// Use the readiness-driven event loop (keep-alive, pipelining,
-    /// batching, admission control) when the platform supports it;
+    /// admission control) when the platform supports it;
     /// `false` forces the blocking one-request-per-connection path.
     pub event_loop: bool,
     /// How many requests one keep-alive connection may carry before the
@@ -119,9 +120,9 @@ impl Default for LoopOptions {
     }
 }
 
-/// A running server: a bound listener, a reactor (or accept) thread,
-/// and a worker pool draining requests. Dropping the server shuts it
-/// down and joins every thread.
+/// A running server: a bound listener and a reactor (or accept) thread
+/// handing requests to the shared worker pool. Dropping the server
+/// shuts it down, waits for dispatched requests, and joins the thread.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
@@ -193,19 +194,18 @@ impl Server {
             }
         }
 
-        // Blocking fallback: one request per connection on executor
-        // workers. The listener is non-blocking so the accept loop can
-        // observe the shutdown flag without being poked.
+        // Blocking fallback: one request per connection, one pool job
+        // per connection. The listener is non-blocking so the accept
+        // loop can observe the shutdown flag without being poked.
         listener.set_nonblocking(true)?;
         let flag = Arc::clone(&shutdown);
         let accept = std::thread::Builder::new()
             .name("fgbs-accept".to_string())
             .spawn(move || {
-                let exec = Executor::new(threads);
-                loop {
-                    if flag.load(Ordering::Acquire) {
-                        break;
-                    }
+                let pool = WorkPool::new(threads);
+                // Every connection job holds a sender until it is done.
+                let (open, all_done) = std::sync::mpsc::channel::<()>();
+                while !flag.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             // Chaos failpoint: a `delay` rule stalls the
@@ -216,17 +216,19 @@ impl Server {
                             if stream.set_nonblocking(false).is_err() {
                                 continue;
                             }
-                            let svc = Arc::clone(&service);
-                            exec.submit(move || handle_connection(stream, &svc, opts));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
+                            let (svc, open) = (Arc::clone(&service), open.clone());
+                            pool.submit(move || {
+                                let _open = open;
+                                handle_connection(stream, &svc, opts);
+                            });
                         }
                         Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
                 }
-                // `exec` drops here: the queue drains and workers join,
-                // so in-flight responses finish before shutdown returns.
+                // In-flight connections finish before shutdown returns:
+                // the receive fails once the last sender is gone.
+                drop(open);
+                let _ = all_done.recv();
             })?;
         Ok(Server {
             addr: local,
@@ -332,6 +334,17 @@ mod tests {
         ))
     }
 
+    /// A parsed `GET` for `target` (path plus optional query).
+    fn get_request(target: &str) -> Request {
+        let (path, qs) = target.split_once('?').unwrap_or((target, ""));
+        Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            query: parse_query(qs),
+            body: Vec::new(),
+        }
+    }
+
     fn get(addr: SocketAddr, target: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
         // `read_to_string` needs the server to close the connection, so
@@ -429,15 +442,7 @@ mod tests {
     fn admission_control_sheds_only_doomed_deadline_requests() {
         let dir = std::env::temp_dir().join(format!("fgbs-serve-adm-{}", std::process::id()));
         let service = test_service(&dir);
-        let req = |target: &str| {
-            let (path, qs) = target.split_once('?').unwrap_or((target, ""));
-            Request {
-                method: "GET".to_string(),
-                path: path.to_string(),
-                query: parse_query(qs),
-                body: Vec::new(),
-            }
-        };
+        let req = get_request;
 
         // No deadline, or no queue, or no latency history: never shed.
         assert!(service.admission_check(&req("/predict?suite=nr"), 9).is_none());
@@ -467,13 +472,25 @@ mod tests {
             .admission_check(&req("/health?deadline_ms=1"), 10)
             .is_none());
         assert_eq!(service.shed(), 1, "only the doomed /predict shed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // Batch accounting: singles don't count, groups do.
-        service.note_batch(1);
-        service.note_batch(3);
-        service.note_batch(2);
-        assert_eq!(service.batches(), 2);
-        assert_eq!(service.batched_requests(), 5);
+    #[test]
+    fn concurrent_cold_endpoints_profile_a_suite_once() {
+        let dir = std::env::temp_dir().join(format!("fgbs-serve-memo-{}", std::process::id()));
+        let service = test_service(&dir);
+        let start = std::sync::Barrier::new(2);
+        let call = |target: &str| {
+            start.wait();
+            service.handle(&get_request(target)).status
+        };
+        let statuses = std::thread::scope(|s| {
+            let predict = s.spawn(|| call("/predict?suite=nr&target=atom&k=3"));
+            let sweep = s.spawn(|| call("/sweep?suite=nr&target=atom&kmax=3"));
+            [predict.join().unwrap(), sweep.join().unwrap()]
+        });
+        assert_eq!(statuses, [200, 200]);
+        assert_eq!(service.metrics().count("stage.profile"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

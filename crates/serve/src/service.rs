@@ -134,23 +134,24 @@ fn pipeline_error(err: PipelineError) -> Response {
     match &err {
         PipelineError::DeadlineExceeded { stage } => {
             fgbs_trace::stat("serve.deadline_expired", 1);
-            let request = fgbs_trace::current_request_id();
-            fgbs_trace::flightrec::trigger("deadline", request);
-            Response {
-                status: 503,
-                source: None,
-                request_id: request,
-                content_type: None,
-                body: Json::obj(vec![
-                    ("error", Json::str("deadline exceeded")),
-                    ("stage", Json::str(*stage)),
-                    ("request", Json::U64(request)),
-                ])
-                .render()
-                .into_bytes(),
-            }
+            deadline_exceeded(stage, fgbs_trace::current_request_id())
         }
         PipelineError::NonFinite { .. } => Response::error(500, &err.to_string()),
+    }
+}
+
+/// The structured `503` for a request that cannot finish in time,
+/// naming the `stage` that gave up; fires the flight recorder.
+fn deadline_exceeded(stage: &str, request: u64) -> Response {
+    fgbs_trace::flightrec::trigger("deadline", request);
+    Response {
+        status: 503,
+        request_id: request,
+        ..Response::json(&Json::obj(vec![
+            ("error", Json::str("deadline exceeded")),
+            ("stage", Json::str(stage)),
+            ("request", Json::U64(request)),
+        ]))
     }
 }
 
@@ -218,11 +219,10 @@ pub struct Service {
     flight: SingleFlight<Arc<Response>>,
     metrics: Metrics,
     profiles: Mutex<HashMap<String, Arc<ProfiledSuite>>>,
+    profiling: SingleFlight<Arc<ProfiledSuite>>,
     computations: AtomicU64,
     in_flight: AtomicU64,
     shed: AtomicU64,
-    batches: AtomicU64,
-    batched: AtomicU64,
 }
 
 impl std::fmt::Debug for Service {
@@ -250,11 +250,10 @@ impl Service {
             flight: SingleFlight::new(),
             metrics: Metrics::new(),
             profiles: Mutex::new(HashMap::new()),
+            profiling: SingleFlight::new(),
             computations: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
         }
     }
 
@@ -291,24 +290,11 @@ impl Service {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Cross-key batches the event loop has run (groups of ≥2 requests
-    /// sharing one work-pool pass).
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Requests that were part of a cross-key batch.
+    /// Requests handled as part of a cross-request batch: always 0.
+    /// Every request runs as its own pool job; the method remains for
+    /// callers written when the event loop still batched requests.
     pub fn batched_requests(&self) -> u64 {
-        self.batched.load(Ordering::Relaxed)
-    }
-
-    /// The event loop reports each submit group's size here; only
-    /// genuine batches (≥2 requests in one pass) move the counters.
-    pub fn note_batch(&self, size: u64) {
-        if size > 1 {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.batched.fetch_add(size, Ordering::Relaxed);
-        }
+        0
     }
 
     /// Admission control for deadline-carrying requests: with `depth`
@@ -339,21 +325,7 @@ impl Service {
         }
         self.shed.fetch_add(1, Ordering::Relaxed);
         fgbs_trace::stat("serve.shed", 1);
-        let request = fgbs_trace::next_request_id();
-        fgbs_trace::flightrec::trigger("deadline", request);
-        Some(Response {
-            status: 503,
-            source: None,
-            request_id: request,
-            content_type: None,
-            body: Json::obj(vec![
-                ("error", Json::str("deadline exceeded")),
-                ("stage", Json::str("admission")),
-                ("request", Json::U64(request)),
-            ])
-            .render()
-            .into_bytes(),
-        })
+        Some(deadline_exceeded("admission", fgbs_trace::next_request_id()))
     }
 
     /// Handle one parsed request: assign the next request id, install it
@@ -382,9 +354,9 @@ impl Service {
 
     fn route(&self, req: &Request) -> (&'static str, Response) {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/predict") => ("predict", self.ep_predict(req)),
-            ("GET", "/sweep") => ("sweep", self.ep_sweep(req)),
-            ("POST", "/reduce") => ("reduce", self.ep_reduce(req)),
+            ("GET", "/predict") => ("predict", self.ep_predict(req).unwrap_or_else(|e| e)),
+            ("GET", "/sweep") => ("sweep", self.ep_sweep(req).unwrap_or_else(|e| e)),
+            ("POST", "/reduce") => ("reduce", self.ep_reduce(req).unwrap_or_else(|e| e)),
             ("POST", "/snippets") => ("snippets", self.ep_snippets(req)),
             ("GET", "/snippets") => ("snippets", self.ep_snippets_list()),
             ("GET", "/artifacts") => ("artifacts", self.ep_artifacts()),
@@ -436,70 +408,97 @@ impl Service {
         &self,
         key: &str,
         deadline: Option<Deadline>,
-        compute: impl FnOnce() -> Response,
+        compute: impl FnOnce() -> Result<Response, Response>,
     ) -> Response {
+        let compute = || {
+            self.computations.fetch_add(1, Ordering::Relaxed);
+            let r = compute().unwrap_or_else(|e| e);
+            if r.status == 200 {
+                let _ = self.store.put(ArtifactKind::Response, key, &r.body);
+            }
+            r
+        };
         if let Ok(Some(bytes)) = self.store.get(ArtifactKind::Response, key) {
             return Response::json_bytes(bytes).with_source("store");
         }
         if deadline.is_some() {
-            let r = compute();
-            if r.status == 200 {
-                let _ = self.store.put(ArtifactKind::Response, key, &r.body);
-            }
-            return r.with_source("computed");
+            return compute().with_source("computed");
         }
-        let (resp, led) = self.flight.run(key, || {
-            let r = compute();
-            if r.status == 200 {
-                let _ = self.store.put(ArtifactKind::Response, key, &r.body);
-            }
-            Arc::new(r)
-        });
+        let (resp, led) = self.flight.run(key, || Arc::new(compute()));
         let r = (*resp).clone();
         r.with_source(if led { "computed" } else { "coalesced" })
+    }
+
+    /// The pipeline configuration for the current request: its id, and
+    /// its deadline if it carries one.
+    fn request_cfg(&self, deadline: Option<Deadline>) -> PipelineConfig {
+        let cfg = self
+            .cfg
+            .clone()
+            .with_request_id(fgbs_trace::current_request_id());
+        match deadline {
+            Some(d) => cfg.with_deadline(d),
+            None => cfg,
+        }
+    }
+
+    /// Run one pipeline stage, recording its latency under `series` when
+    /// it succeeds and rendering its failure as a response.
+    fn stage<T>(
+        &self,
+        series: &str,
+        run: impl FnOnce() -> Result<T, PipelineError>,
+    ) -> Result<T, Response> {
+        let t0 = Instant::now();
+        let out = run().map_err(pipeline_error)?;
+        self.metrics.record(series, t0.elapsed().as_micros() as u64);
+        Ok(out)
     }
 
     /// The profiled suite for a spec, memoised in memory for the
     /// process's lifetime and store-backed across processes.
     fn profiled(&self, spec: SuiteSpec) -> Arc<ProfiledSuite> {
         let memo_key = format!("{}/{}", spec.kind, spec.class_name);
-        if let Some(p) = self.profiles.lock().get(&memo_key) {
-            return Arc::clone(p);
-        }
-        let apps = match spec.kind {
+        self.profiled_memo(memo_key, || match spec.kind {
             "nr" => nr_suite(spec.class),
             "bigdata" => bigdata_suite(spec.class),
             _ => nas_suite(spec.class),
-        };
-        let t0 = Instant::now();
-        let suite = Arc::new(profile_reference(&apps, &self.cfg));
-        self.metrics
-            .record("stage.profile", t0.elapsed().as_micros() as u64);
-        self.profiles
-            .lock()
-            .entry(memo_key)
-            .or_insert(suite)
-            .clone()
+        })
     }
 
     /// The profiled suite of an ingested snippet pack, memoised like the
     /// first-party suites (keyed by the pack's content-addressed id, so
     /// a re-uploaded edit profiles afresh under its new id).
     fn profiled_snippet(&self, id: &str, pack: &Pack) -> Arc<ProfiledSuite> {
-        let memo_key = format!("snippet/{id}");
+        self.profiled_memo(format!("snippet/{id}"), || pack_applications(pack))
+    }
+
+    /// Profile `apps()` once per `memo_key`. Concurrent cold requests for
+    /// one suite, through any endpoint, share a single flight; the
+    /// leader re-checks the memo, so a caller that missed it just before
+    /// a flight finished does not profile again.
+    fn profiled_memo(
+        &self,
+        memo_key: String,
+        apps: impl FnOnce() -> Vec<fgbs_extract::Application>,
+    ) -> Arc<ProfiledSuite> {
         if let Some(p) = self.profiles.lock().get(&memo_key) {
             return Arc::clone(p);
         }
-        let apps = pack_applications(pack);
-        let t0 = Instant::now();
-        let suite = Arc::new(profile_reference(&apps, &self.cfg));
-        self.metrics
-            .record("stage.profile", t0.elapsed().as_micros() as u64);
-        self.profiles
-            .lock()
-            .entry(memo_key)
-            .or_insert(suite)
-            .clone()
+        let (suite, _) = self.profiling.run(&memo_key, || {
+            if let Some(p) = self.profiles.lock().get(&memo_key) {
+                return Arc::clone(p);
+            }
+            let t0 = Instant::now();
+            let suite = Arc::new(profile_reference(&apps(), &self.cfg));
+            self.metrics
+                .record("stage.profile", t0.elapsed().as_micros() as u64);
+            self.profiles
+                .lock()
+                .insert(memo_key.clone(), Arc::clone(&suite));
+            suite
+        });
+        suite
     }
 
     /// `POST /snippets`: validate-then-publish a submitted pack frame.
@@ -522,15 +521,10 @@ impl Service {
                 fgbs_trace::stat("serve.snippet_rejected", 1);
                 Response {
                     status: 400,
-                    source: None,
-                    request_id: 0,
-                    content_type: None,
-                    body: Json::obj(vec![
+                    ..Response::json(&Json::obj(vec![
                         ("error", Json::str(format!("invalid pack: {e}"))),
                         ("quarantined", Json::Bool(true)),
-                    ])
-                    .render()
-                    .into_bytes(),
+                    ]))
                 }
             }
             Err(RegistryError::Io(e)) => Response::error(503, &format!("store error: {e}")),
@@ -557,215 +551,125 @@ impl Service {
 
     /// `GET /predict?snippet=<id>`: the prediction pipeline over an
     /// ingested snippet pack instead of a first-party suite.
-    fn ep_predict_snippet(&self, req: &Request, id: &str) -> Response {
-        let target = match resolve_target(req) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let (k, k_label) = match resolve_k(req) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
+    fn ep_predict_snippet(&self, req: &Request, id: &str) -> Result<Response, Response> {
+        let target = resolve_target(req)?;
+        let k = resolve_k(req)?;
+        let deadline = resolve_deadline(req)?;
         let pack = match load_pack(&self.store, id) {
             Ok(Some(p)) => p,
-            Ok(None) => return Response::error(404, &format!("no snippet pack `{id}`")),
-            Err(e) => return Response::error(503, &e.to_string()),
+            Ok(None) => return Err(Response::error(404, &format!("no snippet pack `{id}`"))),
+            Err(e) => return Err(Response::error(503, &e.to_string())),
         };
-        let key = self.response_key("predict-snippet", &[id, &target.name, &k_label]);
-        self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
+        let key = self.response_key("predict-snippet", &[id, &target.name, &k.1]);
+        Ok(self.respond_cached(&key, deadline, || {
             let suite = self.profiled_snippet(id, &pack);
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_k(k)
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
-            }
-
-            let t0 = Instant::now();
-            let reduced = match try_reduce_cached(&suite, &cfg, &MicroCache::new()) {
-                Ok(r) => r,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.reduce", t0.elapsed().as_micros() as u64);
-
-            let t0 = Instant::now();
-            let out = match try_predict(&suite, &reduced, &target, &cfg) {
-                Ok(o) => o,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.predict", t0.elapsed().as_micros() as u64);
-
-            let predictions: Vec<Json> = out
-                .predictions
-                .iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("codelet", Json::str(&suite.codelets[p.codelet].name)),
-                        ("representative", Json::Bool(p.is_representative)),
-                        (
-                            "predicted_seconds",
-                            p.predicted_seconds.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                        ("real_seconds", Json::Num(p.real_seconds)),
-                        (
-                            "error_pct",
-                            p.error_pct.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                    ])
-                })
-                .collect();
-            Response::json(&Json::obj(vec![
+            let head = vec![
                 ("snippet", Json::str(id)),
                 ("suite", Json::str(&pack.provenance.suite)),
                 ("pack", Json::str(&pack.name)),
-                ("target", Json::str(&out.target)),
-                ("k", Json::str(&k_label)),
-                ("k_requested", Json::U64(reduced.k_requested as u64)),
-                (
-                    "representatives",
-                    Json::U64(reduced.n_representatives() as u64),
-                ),
-                ("codelets", Json::U64(suite.len() as u64)),
-                ("coverage", Json::Num(suite.coverage)),
-                ("median_error_pct", Json::Num(out.median_error_pct())),
-                ("average_error_pct", Json::Num(out.average_error_pct())),
-                ("predictions", Json::Arr(predictions)),
-            ]))
-        })
+            ];
+            self.predict_body(&suite, &target, k, deadline, head, false)
+        }))
     }
 
-    fn ep_predict(&self, req: &Request) -> Response {
+    fn ep_predict(&self, req: &Request) -> Result<Response, Response> {
         if let Some(id) = req.param("snippet") {
-            let id = id.to_string();
-            return self.ep_predict_snippet(req, &id);
+            return self.ep_predict_snippet(req, id);
         }
-        let spec = match resolve_suite(req) {
-            Ok(s) => s,
-            Err(r) => return r,
-        };
-        let target = match resolve_target(req) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let (k, k_label) = match resolve_k(req) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
+        let spec = resolve_suite(req)?;
+        let target = resolve_target(req)?;
+        let k = resolve_k(req)?;
+        let deadline = resolve_deadline(req)?;
         let key = self.response_key(
             "predict",
-            &[spec.kind, spec.class_name, &target.name, &k_label],
+            &[spec.kind, spec.class_name, &target.name, &k.1],
         );
-        self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
+        Ok(self.respond_cached(&key, deadline, || {
             let suite = self.profiled(spec);
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_k(k)
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
-            }
-
-            let t0 = Instant::now();
-            let reduced = match try_reduce_cached(&suite, &cfg, &MicroCache::new()) {
-                Ok(r) => r,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.reduce", t0.elapsed().as_micros() as u64);
-
-            let t0 = Instant::now();
-            let out = match try_predict(&suite, &reduced, &target, &cfg) {
-                Ok(o) => o,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.predict", t0.elapsed().as_micros() as u64);
-
-            let predictions: Vec<Json> = out
-                .predictions
-                .iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("codelet", Json::str(&suite.codelets[p.codelet].name)),
-                        (
-                            "cluster",
-                            p.cluster.map(|c| Json::U64(c as u64)).unwrap_or(Json::Null),
-                        ),
-                        ("representative", Json::Bool(p.is_representative)),
-                        (
-                            "predicted_seconds",
-                            p.predicted_seconds.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                        ("real_seconds", Json::Num(p.real_seconds)),
-                        (
-                            "error_pct",
-                            p.error_pct.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                    ])
-                })
-                .collect();
-            Response::json(&Json::obj(vec![
+            let head = vec![
                 ("suite", Json::str(spec.kind)),
                 ("class", Json::str(spec.class_name)),
-                ("target", Json::str(&out.target)),
-                ("k", Json::str(&k_label)),
-                ("k_requested", Json::U64(reduced.k_requested as u64)),
-                (
-                    "representatives",
-                    Json::U64(reduced.n_representatives() as u64),
-                ),
-                ("codelets", Json::U64(suite.len() as u64)),
-                ("coverage", Json::Num(suite.coverage)),
-                ("median_error_pct", Json::Num(out.median_error_pct())),
-                ("average_error_pct", Json::Num(out.average_error_pct())),
-                (
-                    "rep_seconds",
-                    Json::Arr(out.rep_seconds.iter().map(|&s| Json::Num(s)).collect()),
-                ),
-                ("predictions", Json::Arr(predictions)),
-            ]))
-        })
+            ];
+            self.predict_body(&suite, &target, k, deadline, head, true)
+        }))
     }
 
-    fn ep_sweep(&self, req: &Request) -> Response {
-        let spec = match resolve_suite(req) {
-            Ok(s) => s,
-            Err(r) => return r,
-        };
-        let target = match resolve_target(req) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let kmin = match parse_usize_param(req, "kmin", 1) {
-            Ok(v) => v.max(1),
-            Err(r) => return r,
-        };
-        let kmax = match parse_usize_param(req, "kmax", 8) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        if kmax < kmin {
-            return Response::error(400, &format!("kmax ({kmax}) must be >= kmin ({kmin})"));
+    /// Reduce `suite`, predict `target` and render the `/predict` body
+    /// after the `head` fields. First-party suites also report each
+    /// codelet's cluster and the representatives' seconds.
+    fn predict_body(
+        &self,
+        suite: &ProfiledSuite,
+        target: &Arch,
+        (k, k_label): (KChoice, String),
+        deadline: Option<Deadline>,
+        mut body: Vec<(&str, Json)>,
+        first_party: bool,
+    ) -> Result<Response, Response> {
+        let cfg = self.request_cfg(deadline).with_k(k);
+        let reduced = self.stage("stage.reduce", || {
+            try_reduce_cached(suite, &cfg, &MicroCache::new())
+        })?;
+        let out = self.stage("stage.predict", || {
+            try_predict(suite, &reduced, target, &cfg)
+        })?;
+        let predictions: Vec<Json> = out
+            .predictions
+            .iter()
+            .map(|p| {
+                let mut fields = vec![("codelet", Json::str(&suite.codelets[p.codelet].name))];
+                if first_party {
+                    let cluster = p.cluster.map(|c| Json::U64(c as u64));
+                    fields.push(("cluster", cluster.unwrap_or(Json::Null)));
+                }
+                fields.extend([
+                    ("representative", Json::Bool(p.is_representative)),
+                    (
+                        "predicted_seconds",
+                        p.predicted_seconds.map(Json::Num).unwrap_or(Json::Null),
+                    ),
+                    ("real_seconds", Json::Num(p.real_seconds)),
+                    (
+                        "error_pct",
+                        p.error_pct.map(Json::Num).unwrap_or(Json::Null),
+                    ),
+                ]);
+                Json::obj(fields)
+            })
+            .collect();
+        body.extend([
+            ("target", Json::str(&out.target)),
+            ("k", Json::str(&k_label)),
+            ("k_requested", Json::U64(reduced.k_requested as u64)),
+            (
+                "representatives",
+                Json::U64(reduced.n_representatives() as u64),
+            ),
+            ("codelets", Json::U64(suite.len() as u64)),
+            ("coverage", Json::Num(suite.coverage)),
+            ("median_error_pct", Json::Num(out.median_error_pct())),
+            ("average_error_pct", Json::Num(out.average_error_pct())),
+        ]);
+        if first_party {
+            let seconds = out.rep_seconds.iter().map(|&s| Json::Num(s)).collect();
+            body.push(("rep_seconds", Json::Arr(seconds)));
         }
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
+        body.push(("predictions", Json::Arr(predictions)));
+        Ok(Response::json(&Json::obj(body)))
+    }
+
+    fn ep_sweep(&self, req: &Request) -> Result<Response, Response> {
+        let spec = resolve_suite(req)?;
+        let target = resolve_target(req)?;
+        let kmin = parse_usize_param(req, "kmin", 1)?.max(1);
+        let kmax = parse_usize_param(req, "kmax", 8)?;
+        if kmax < kmin {
+            return Err(Response::error(
+                400,
+                &format!("kmax ({kmax}) must be >= kmin ({kmin})"),
+            ));
+        }
+        let deadline = resolve_deadline(req)?;
         let key = self.response_key(
             "sweep",
             &[
@@ -776,21 +680,12 @@ impl Service {
                 &kmax.to_string(),
             ],
         );
-        self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
+        Ok(self.respond_cached(&key, deadline, || {
             let suite = self.profiled(spec);
             let cache = MicroCache::new();
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
-            }
-            let points = match try_sweep_k(&suite, &target, kmax, &cache, &cfg) {
-                Ok(p) => p,
-                Err(e) => return pipeline_error(e),
-            };
+            let cfg = self.request_cfg(deadline);
+            let points =
+                try_sweep_k(&suite, &target, kmax, &cache, &cfg).map_err(pipeline_error)?;
             let points: Vec<Json> = points
                 .iter()
                 .filter(|p| p.k >= kmin)
@@ -803,49 +698,28 @@ impl Service {
                     ])
                 })
                 .collect();
-            Response::json(&Json::obj(vec![
+            Ok(Response::json(&Json::obj(vec![
                 ("suite", Json::str(spec.kind)),
                 ("class", Json::str(spec.class_name)),
                 ("target", Json::str(&target.name)),
                 ("kmin", Json::U64(kmin as u64)),
                 ("kmax", Json::U64(kmax as u64)),
                 ("points", Json::Arr(points)),
-            ]))
-        })
+            ])))
+        }))
     }
 
-    fn ep_reduce(&self, req: &Request) -> Response {
-        let spec = match resolve_suite(req) {
-            Ok(s) => s,
-            Err(r) => return r,
-        };
-        let (k, k_label) = match resolve_k(req) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
+    fn ep_reduce(&self, req: &Request) -> Result<Response, Response> {
+        let spec = resolve_suite(req)?;
+        let (k, k_label) = resolve_k(req)?;
+        let deadline = resolve_deadline(req)?;
         let key = self.response_key("reduce", &[spec.kind, spec.class_name, &k_label]);
-        self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
+        Ok(self.respond_cached(&key, deadline, || {
             let suite = self.profiled(spec);
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_k(k)
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
-            }
-            let t0 = Instant::now();
-            let reduced = match try_reduce_cached(&suite, &cfg, &MicroCache::new()) {
-                Ok(r) => r,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.reduce", t0.elapsed().as_micros() as u64);
+            let cfg = self.request_cfg(deadline).with_k(k);
+            let reduced = self.stage("stage.reduce", || {
+                try_reduce_cached(&suite, &cfg, &MicroCache::new())
+            })?;
             let clusters: Vec<Json> = reduced
                 .clusters
                 .iter()
@@ -867,7 +741,7 @@ impl Service {
                     ])
                 })
                 .collect();
-            Response::json(&Json::obj(vec![
+            Ok(Response::json(&Json::obj(vec![
                 ("suite", Json::str(spec.kind)),
                 ("class", Json::str(spec.class_name)),
                 ("k", Json::str(&k_label)),
@@ -885,8 +759,8 @@ impl Service {
                     ),
                 ),
                 ("clusters", Json::Arr(clusters)),
-            ]))
-        })
+            ])))
+        }))
     }
 
     fn ep_artifacts(&self) -> Response {
@@ -1004,20 +878,6 @@ impl Service {
         let _ = writeln!(out, "fgbs_shed_requests_total {}", self.shed());
         family(
             &mut out,
-            "fgbs_request_batches_total",
-            "Cross-key request batches run as one work-pool pass.",
-            "counter",
-        );
-        let _ = writeln!(out, "fgbs_request_batches_total {}", self.batches());
-        family(
-            &mut out,
-            "fgbs_batched_requests_total",
-            "Requests handled as part of a cross-key batch.",
-            "counter",
-        );
-        let _ = writeln!(out, "fgbs_batched_requests_total {}", self.batched_requests());
-        family(
-            &mut out,
             "fgbs_in_flight_requests",
             "Requests currently being handled.",
             "gauge",
@@ -1076,13 +936,6 @@ impl Service {
                 Json::obj(vec![
                     ("flights", Json::U64(self.flight.flights())),
                     ("coalesced", Json::U64(self.flight.coalesced())),
-                ]),
-            ),
-            (
-                "batch",
-                Json::obj(vec![
-                    ("batches", Json::U64(self.batches())),
-                    ("requests", Json::U64(self.batched_requests())),
                 ]),
             ),
             ("shed", Json::U64(self.shed())),

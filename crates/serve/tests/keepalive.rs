@@ -4,13 +4,15 @@
 //! per-connection request budget are honored, `/predict` bodies are
 //! byte-identical whether the connection is reused or not, a client
 //! that stops reading poisons (and loses) its connection without
-//! wedging the server, and — extending the malformed-frame corpus — any
-//! pair of *conflicting* `Content-Length` headers is rejected with a
+//! wedging the server, `Server::shutdown` still answers a request that
+//! is already in flight, and — extending the malformed-frame corpus —
+//! any pair of *conflicting* `Content-Length` headers is rejected with a
 //! 400 before the body is waited for.
 //!
 //! Everything here exercises the epoll reactor, so the suite is
 //! Linux-only; the blocking fallback intentionally closes after every
-//! response and has its own coverage.
+//! response and has its own coverage, apart from the shutdown drain,
+//! which is checked on both paths.
 #![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
@@ -21,6 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fgbs_core::PipelineConfig;
+use fgbs_fault::{FaultAction, FaultPlan};
 use fgbs_serve::loadgen::{read_response, ClientResponse};
 use fgbs_serve::{LoopOptions, ServeOptions, Server, Service};
 use fgbs_store::Store;
@@ -276,6 +279,61 @@ fn client_that_stops_reading_is_poisoned_not_waited_on() {
         t0.elapsed()
     );
     harness.assert_healthy();
+}
+
+/// `Server::shutdown` answers every request already dispatched before
+/// it returns. The `exec.job` failpoint that holds the request is
+/// process-wide, so the scenario runs alone in a child process of this
+/// test binary, where no other test's requests can take or suffer the
+/// delay.
+#[test]
+fn shutdown_answers_the_request_in_flight() {
+    let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(["--ignored", "--exact", "shutdown_drain_scenario"])
+        .output()
+        .expect("run the drain scenario");
+    let log = String::from_utf8_lossy(&child.stdout);
+    assert!(child.status.success() && log.contains("1 passed"), "{log}");
+}
+
+#[test]
+#[ignore = "run alone by shutdown_answers_the_request_in_flight"]
+fn shutdown_drain_scenario() {
+    for event_loop in [true, false] {
+        let dir = std::env::temp_dir().join(format!("fgbs-drain-{}", std::process::id()));
+        let store = Arc::new(Store::open(&dir).expect("open store"));
+        let service = Arc::new(Service::new(PipelineConfig::fast().with_threads(1), store));
+        let tuning = LoopOptions {
+            event_loop,
+            ..LoopOptions::default()
+        };
+        let svc = Arc::clone(&service);
+        let server = Server::start_tuned("127.0.0.1:0", 2, svc, ServeOptions::default(), tuning)
+            .expect("start server");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let hold = FaultPlan::new(0).with_rule("exec.job", FaultAction::Delay(300), 1.0, 1);
+        fgbs_fault::install(hold);
+        write!(stream, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n").expect("send request");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fgbs_fault::fires("exec.job") == 0 {
+            assert!(Instant::now() < deadline, "no worker took the request");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shutdown();
+        fgbs_fault::clear();
+        // The held request was handled before `shutdown` returned…
+        assert_eq!(service.metrics().count("health"), 1, "{event_loop}");
+        // …and its response reached the client.
+        let mut residue = Vec::new();
+        let reply = read_response(&mut stream, &mut residue)
+            .unwrap_or_else(|e| panic!("event_loop={event_loop}: no response: {e}"));
+        assert_eq!(reply.status, 200, "event_loop={event_loop}");
+        assert_eq!(reply.body, br#"{"ok":true}"#, "event_loop={event_loop}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // The malformed-frame corpus, extended for request smuggling: any two

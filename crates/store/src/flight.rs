@@ -11,10 +11,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A slot the leader fills and followers wait on.
+/// A slot the leader fills and followers wait on: `None` while the
+/// flight is up, `Some(None)` if the leader unwound without a value,
+/// `Some(Some(v))` once it landed.
 #[derive(Debug)]
 struct Slot<V> {
-    value: Mutex<Option<V>>,
+    value: Mutex<Option<Option<V>>>,
     ready: Condvar,
 }
 
@@ -24,6 +26,28 @@ impl<V> Slot<V> {
             value: Mutex::new(None),
             ready: Condvar::new(),
         }
+    }
+}
+
+/// The leader's hold on a flight. Dropping it — after `compute`
+/// returns or while a panic unwinds out of it — removes the flight and
+/// wakes the followers, so a failed leader never strands them.
+struct Landing<'a, V> {
+    group: &'a SingleFlight<V>,
+    key: &'a str,
+    slot: &'a Slot<V>,
+    value: Option<V>,
+}
+
+impl<V> Drop for Landing<'_, V> {
+    fn drop(&mut self) {
+        self.group
+            .inflight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(self.key);
+        *self.slot.value.lock().unwrap_or_else(|e| e.into_inner()) = Some(self.value.take());
+        self.slot.ready.notify_all();
     }
 }
 
@@ -53,44 +77,47 @@ impl<V: Clone> SingleFlight<V> {
     /// Returns `(value, led)`: `led` is true for the caller that actually
     /// executed `compute`. The flight entry is removed once the leader
     /// finishes, so a *later* call with the same key starts a fresh flight
-    /// — persistent memoisation is the store's job, not this type's.
+    /// — persistent memoisation is the store's job, not this type's. If
+    /// the leader panics, its panic propagates to it alone and each
+    /// follower runs the key again, one of them as the new leader.
     pub fn run(&self, key: &str, compute: impl FnOnce() -> V) -> (V, bool) {
-        let (slot, leader) = {
-            let mut m = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            match m.get(key) {
-                Some(s) => (Arc::clone(s), false),
-                None => {
-                    let s = Arc::new(Slot::new());
-                    m.insert(key.to_string(), Arc::clone(&s));
-                    (s, true)
+        loop {
+            let (slot, leader) = {
+                let mut m = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+                match m.get(key) {
+                    Some(s) => (Arc::clone(s), false),
+                    None => {
+                        let s = Arc::new(Slot::new());
+                        m.insert(key.to_string(), Arc::clone(&s));
+                        (s, true)
+                    }
                 }
-            }
-        };
+            };
 
-        if leader {
-            self.flights.fetch_add(1, Ordering::Relaxed);
-            // Leadership depends on arrival timing, so these are stats,
-            // not deterministic counters.
-            fgbs_trace::stat("flight.flights", 1);
-            let v = compute();
-            {
-                let mut g = slot.value.lock().unwrap_or_else(|e| e.into_inner());
-                *g = Some(v.clone());
+            if leader {
+                self.flights.fetch_add(1, Ordering::Relaxed);
+                // Leadership depends on arrival timing, so these are stats,
+                // not deterministic counters.
+                fgbs_trace::stat("flight.flights", 1);
+                let mut landing = Landing {
+                    group: self,
+                    key,
+                    slot: &slot,
+                    value: None,
+                };
+                let v = compute();
+                landing.value = Some(v.clone());
+                return (v, true);
             }
-            slot.ready.notify_all();
-            self.inflight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(key);
-            (v, true)
-        } else {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             fgbs_trace::stat("flight.coalesced", 1);
             let mut g = slot.value.lock().unwrap_or_else(|e| e.into_inner());
             while g.is_none() {
                 g = slot.ready.wait(g).unwrap_or_else(|e| e.into_inner());
             }
-            (g.clone().expect("leader filled the slot"), false)
+            if let Some(Some(v)) = &*g {
+                return (v.clone(), false);
+            }
         }
     }
 
@@ -153,6 +180,36 @@ mod tests {
         assert_eq!(computed.load(Ordering::SeqCst), leaders);
         assert_eq!(sf.flights() as usize, leaders);
         assert_eq!(sf.coalesced() as usize, 8 - leaders);
+    }
+
+    #[test]
+    fn a_panicking_leader_does_not_strand_its_key() {
+        let sf: Arc<SingleFlight<u32>> = Arc::new(SingleFlight::new());
+        let started = Arc::new(Barrier::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let (sf, started) = (Arc::clone(&sf), Arc::clone(&started));
+            std::thread::spawn(move || {
+                started.wait();
+                tx.send(sf.run("k", || 7)).unwrap();
+            });
+        }
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sf.run("k", || {
+                started.wait();
+                // Let the follower join the flight before it fails.
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                panic!("leader failed")
+            })
+        }));
+        assert!(failed.is_err());
+        // Whether it coalesced onto the failed flight or arrived after
+        // it, the follower ends up computing the value itself.
+        let follower = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the follower was stranded");
+        assert_eq!(follower, (7, true));
+        assert_eq!(sf.run("k", || 8), (8, true), "the key is free again");
     }
 
     #[test]
