@@ -1,12 +1,11 @@
 //! Feature vectors and matrices.
 
 use fgbs_matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::{N_FEATURES, N_STATIC};
 
 /// A boolean mask over the 76 features (the genome of the paper's GA).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FeatureMask {
     bits: Vec<bool>,
 }
@@ -76,7 +75,7 @@ impl FeatureMask {
 }
 
 /// The 76-dimensional signature of one codelet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
     values: Vec<f64>,
 }
@@ -112,7 +111,7 @@ impl FeatureVector {
 }
 
 /// Feature vectors for a set of codelets (rows) — the input of Step C.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeatureMatrix {
     names: Vec<String>,
     rows: Vec<FeatureVector>,

@@ -1,12 +1,11 @@
 //! Partitions: the output of cutting a dendrogram.
 
 use fgbs_matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A partition of `n` observations into `k` clusters labelled `0..k`.
 /// Labels are canonical: cluster 0 is the one containing observation 0,
 /// and new labels appear in first-occurrence order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     assign: Vec<usize>,
     k: usize,

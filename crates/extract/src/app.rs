@@ -1,11 +1,10 @@
 //! The application model: codelets plus an invocation schedule.
 
 use fgbs_isa::{Binding, Codelet};
-use serde::{Deserialize, Serialize};
 
 /// One step of an application's execution: `repeats` consecutive
 /// invocations of one codelet under one binding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleEntry {
     /// Index into [`Application::codelets`].
     pub codelet: usize,
@@ -23,7 +22,7 @@ pub struct ScheduleEntry {
 /// entries run in order. A codelet that appears in several entries with
 /// different contexts is *context-varying* — the paper's first class of
 /// ill-behaved codelets, since extraction captures only the first context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     /// Application name (`BT`, `CG`, …).
     pub name: String,

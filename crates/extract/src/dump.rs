@@ -9,14 +9,15 @@
 //! array) used to verify integrity at restore time — semantically
 //! equivalent to a full image at a fraction of the size.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fgbs_isa::{Binding, Codelet, Memory};
+use fgbs_store::{ByteReader, ByteWriter};
 
 use crate::app::Application;
 
 const MAGIC: u32 = 0x4647_4253; // "FGBS"
-const VERSION: u16 = 1;
+const VERSION: u32 = 1;
 const WITNESS: usize = 8;
+const TRUNCATED: &str = "dump truncated";
 
 /// A captured first-invocation context, serialisable to a byte buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +27,7 @@ pub struct MemoryDump {
     /// The captured binding (layout + trip parameters + data seed).
     pub binding: Binding,
     /// Serialised dump image.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 impl MemoryDump {
@@ -52,23 +53,23 @@ impl MemoryDump {
     ///
     /// # Panics
     ///
-    /// Panics if the payload is corrupt (bad magic/version or witness
-    /// mismatch) — a corrupt dump must never silently produce a wrong
-    /// microbenchmark.
+    /// Panics if the payload is corrupt (truncated, bad magic/version or
+    /// witness mismatch) — a corrupt dump must never silently produce a
+    /// wrong microbenchmark.
     pub fn restore(&self, codelet: &Codelet) -> (Binding, Memory) {
-        let mut buf = self.payload.clone();
-        assert!(buf.remaining() >= 6, "dump truncated");
-        assert_eq!(buf.get_u32(), MAGIC, "bad dump magic");
-        assert_eq!(buf.get_u16(), VERSION, "unsupported dump version");
-        let n_arrays = buf.get_u32() as usize;
+        let mut buf = ByteReader::new(&self.payload);
+        assert_eq!(buf.get_u32().expect(TRUNCATED), MAGIC, "bad dump magic");
+        let version = buf.get_u32().expect(TRUNCATED);
+        assert_eq!(version, VERSION, "unsupported dump version");
+        let n_arrays = buf.get_u32().expect(TRUNCATED) as usize;
         assert_eq!(n_arrays, self.binding.arrays.len(), "array count mismatch");
         let mem = Memory::for_binding(codelet, &self.binding);
         for a in 0..n_arrays {
-            let len = buf.get_u64();
+            let len = buf.get_u64().expect(TRUNCATED);
             assert_eq!(len, self.binding.arrays[a].len, "array length mismatch");
             let w = (len as usize).min(WITNESS);
             for i in 0..w {
-                let expect = buf.get_u64();
+                let expect = buf.get_u64().expect(TRUNCATED);
                 let got = mem.get(a, i).to_bits();
                 assert!(
                     expect == got,
@@ -86,11 +87,11 @@ impl MemoryDump {
     }
 }
 
-fn encode(codelet: &Codelet, binding: &Binding) -> Bytes {
+fn encode(codelet: &Codelet, binding: &Binding) -> Vec<u8> {
     let mem = Memory::for_binding(codelet, binding);
-    let mut out = BytesMut::with_capacity(64 + binding.arrays.len() * (8 + WITNESS * 8));
+    let mut out = ByteWriter::new();
     out.put_u32(MAGIC);
-    out.put_u16(VERSION);
+    out.put_u32(VERSION);
     out.put_u32(binding.arrays.len() as u32);
     for (a, ab) in binding.arrays.iter().enumerate() {
         out.put_u64(ab.len);
@@ -99,7 +100,7 @@ fn encode(codelet: &Codelet, binding: &Binding) -> Bytes {
             out.put_u64(mem.get(a, i).to_bits());
         }
     }
-    out.freeze()
+    out.into_bytes()
 }
 
 #[cfg(test)]
@@ -176,7 +177,7 @@ mod tests {
         let mut d = MemoryDump::capture(&app, 0).unwrap();
         let mut raw = d.payload.to_vec();
         raw[0] ^= 0xFF;
-        d.payload = Bytes::from(raw);
+        d.payload = raw;
         let _ = d.restore(&app.codelets[0]);
     }
 
@@ -188,7 +189,18 @@ mod tests {
         let mut raw = d.payload.to_vec();
         let n = raw.len();
         raw[n - 1] ^= 0x01;
-        d.payload = Bytes::from(raw);
+        d.payload = raw;
+        let _ = d.restore(&app.codelets[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dump truncated")]
+    fn truncated_payload_is_rejected() {
+        let app = app();
+        let mut d = MemoryDump::capture(&app, 0).unwrap();
+        // Cut the last array's witness in the middle of an element.
+        let n = d.payload.len();
+        d.payload.truncate(n - 12);
         let _ = d.restore(&app.codelets[0]);
     }
 }

@@ -36,3 +36,29 @@ pub use finder::{CodeletFinder, Detection};
 pub use micro::{MicroResult, Microbenchmark, MIN_INVOCATIONS, MIN_RUN_SECONDS};
 pub use profile::{run_application, AppRun, CodeletProfile};
 pub use wellbehaved::{behaves_well, relative_difference, WELL_BEHAVED_TOLERANCE};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgbs_isa::{BindingBuilder, CodeletBuilder, Precision};
+
+    /// A dump payload too short to hold even the magic word must panic on
+    /// restore rather than read past the end of the buffer.
+    #[test]
+    #[should_panic(expected = "dump truncated")]
+    fn underflow_panics() {
+        let c = CodeletBuilder::new("k", "T")
+            .array("x", Precision::F64)
+            .param_loop("n")
+            .store("x", &[1], |b| b.constant(1.0))
+            .build();
+        let b = BindingBuilder::new(0).vector(64, 8).param(64).build_for(&c);
+        let mut ab = ApplicationBuilder::new("T");
+        let i = ab.codelet(c, vec![b]);
+        ab.invoke(i, 0, 1);
+        let app = ab.build();
+        let mut d = MemoryDump::capture(&app, 0).unwrap();
+        d.payload = vec![1];
+        let _ = d.restore(&app.codelets[0]);
+    }
+}

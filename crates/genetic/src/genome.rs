@@ -1,10 +1,9 @@
 //! Boolean genomes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-length bit string: one candidate feature subset.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitGenome {
     bits: Vec<bool>,
 }

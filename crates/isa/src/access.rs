@@ -1,8 +1,6 @@
 //! Memory-access patterns: affine strides, leading-dimension strides and
 //! pseudo-random (data-dependent) indices.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codelet::ArrayId;
 
 /// A small affine expression `consts + lda * LDA`, where `LDA` is the leading
@@ -11,7 +9,7 @@ use crate::codelet::ArrayId;
 /// This is exactly the vocabulary of the *Stride* column of the paper's
 /// Table 3: strides `0`, `1`, `-1`, `2`, `LDA`, `LDA + 1`, and stencil
 /// neighbour offsets such as `±1` and `±LDA`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AffineExpr {
     /// Constant term, in elements.
     pub consts: i64,
@@ -70,7 +68,7 @@ impl std::fmt::Display for AffineExpr {
 }
 
 /// How the element index of an access is produced.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AccessIndex {
     /// Affine index: `offset + Σ_d idx_d * stride_d` where `d` ranges over
     /// the loop dimensions, outermost first.
@@ -114,7 +112,7 @@ impl AccessIndex {
 }
 
 /// One memory access inside a codelet body: an array plus an index recipe.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Array being accessed.
     pub array: ArrayId,

@@ -7,8 +7,6 @@
 //! ill-behaved codelets, since the Codelet Finder captures only the first
 //! invocation's memory.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codelet::Codelet;
 use crate::nest::Trip;
 
@@ -16,7 +14,7 @@ use crate::nest::Trip;
 pub const ELEM_ALIGN: u64 = 64;
 
 /// Placement and shape of one array operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayBinding {
     /// Base virtual byte address.
     pub base: u64,
@@ -27,7 +25,7 @@ pub struct ArrayBinding {
 }
 
 /// The full runtime context of an invocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Binding {
     /// Array placements, indexed by [`crate::ArrayId`].
     pub arrays: Vec<ArrayBinding>,

@@ -1,12 +1,10 @@
 //! The codelet: the paper's unit of benchmark decomposition.
 
-use serde::{Deserialize, Serialize};
-
 use crate::nest::LoopNest;
 use crate::types::Precision;
 
 /// Index of an array within a codelet's array table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArrayId(pub usize);
 
 /// Declaration of one array operand.
@@ -14,7 +12,7 @@ pub struct ArrayId(pub usize);
 /// Array *extents* are not part of the declaration — they are bound by the
 /// invocation context (see `fgbs-extract`), mirroring how the same source
 /// loop runs over different datasets across invocations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayDecl {
     /// Human-readable name (used in reports and by the builder DSL).
     pub name: String,
@@ -24,7 +22,7 @@ pub struct ArrayDecl {
 
 /// Source location of the codelet in its (virtual) application, in the
 /// paper's `file.f:first-last` notation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct SourceLoc {
     /// Source file name.
     pub file: String,
@@ -46,7 +44,7 @@ impl std::fmt::Display for SourceLoc {
 /// context; extracting a loop changes that context. This enum models the
 /// paper's second class of ill-behaved codelets ("codelets which are
 /// compiled differently inside and outside the application").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fragility {
     /// The extracted microbenchmark compiles identically to the in-app loop.
     #[default]
@@ -62,7 +60,7 @@ pub enum Fragility {
 
 /// A codelet: a short, side-effect-free loop nest extracted from an
 /// application, together with its operand declarations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Codelet {
     /// Codelet name, e.g. `toeplz_1` or `rhs.f:266-311`.
     pub name: String,

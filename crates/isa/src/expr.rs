@@ -1,13 +1,11 @@
 //! Operation trees evaluated in the innermost loop body.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::Access;
 use crate::codelet::Codelet;
 use crate::types::{AccId, Precision};
 
 /// Unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -23,7 +21,7 @@ pub enum UnOp {
 }
 
 /// Binary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -50,7 +48,7 @@ impl BinOp {
 }
 
 /// An operation tree producing one value per innermost iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Read one element from memory.
     Load(Access),

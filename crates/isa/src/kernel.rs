@@ -2,8 +2,6 @@
 //! memory-access recipe. This is the analogue of the binary innermost loop
 //! that MAQAO disassembles and that the hardware executes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::AccessIndex;
 use crate::codelet::ArrayId;
 use crate::nest::Trip;
@@ -12,7 +10,7 @@ use crate::types::Precision;
 /// Virtual opcodes. The set is deliberately small: it is the vocabulary the
 /// port/latency model of `fgbs-machine` and the static analyzer of
 /// `fgbs-analysis` both speak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VOp {
     /// FP add/subtract (ADD unit).
     FAdd,
@@ -71,7 +69,7 @@ impl VOp {
 /// for vector instructions (one vector instruction covers `lanes` elements),
 /// and 0.0 for loop-invariant instructions hoisted out of the innermost
 /// loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedInst {
     /// Opcode.
     pub op: VOp,
@@ -85,7 +83,7 @@ pub struct WeightedInst {
 
 /// One memory access of the compiled body, ready to be replayed by the
 /// machine executor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledAccess {
     /// Array accessed.
     pub array: ArrayId,
@@ -101,7 +99,7 @@ pub struct CompiledAccess {
 }
 
 /// A codelet compiled for a concrete vector target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
     /// Qualified codelet name.
     pub name: String,

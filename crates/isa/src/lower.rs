@@ -7,8 +7,6 @@
 //! context*: a [`Fragility`]-flagged codelet compiles differently inside its
 //! application than as an extracted standalone microbenchmark.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::AccessIndex;
 use crate::codelet::{Codelet, Fragility};
 use crate::deps::stmt_has_carried_dependence;
@@ -18,7 +16,7 @@ use crate::nest::Stmt;
 use crate::types::Precision;
 
 /// Vector capabilities of a compilation target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TargetSpec {
     /// Vector register width in bits (128 = SSE).
     pub vector_bits: u32,
@@ -59,7 +57,7 @@ impl TargetSpec {
 
 /// Where the compilation happens: inside the original application or in the
 /// extracted standalone wrapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompileMode {
     /// Original application context.
     InApp,

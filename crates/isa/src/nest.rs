@@ -1,13 +1,11 @@
 //! Loop nests and loop-body statements.
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::Access;
 use crate::expr::Expr;
 use crate::types::AccId;
 
 /// Trip count of one loop dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Trip {
     /// A fixed iteration count.
     Fixed(u64),
@@ -21,7 +19,7 @@ pub enum Trip {
 }
 
 /// One loop dimension, outermost first in a [`LoopNest`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopDim {
     /// Trip count recipe.
     pub trip: Trip,
@@ -45,7 +43,7 @@ impl LoopDim {
 }
 
 /// A statement executed once per innermost iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `array[index] = value`.
     Store {
@@ -103,7 +101,7 @@ impl Stmt {
 }
 
 /// A perfect loop nest with a straight-line innermost body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopNest {
     /// Loop dimensions, outermost first. Never empty.
     pub dims: Vec<LoopDim>,

@@ -1,7 +1,5 @@
 //! Elementary value types shared by the whole IR.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision of an array element or an operation.
 ///
 /// The paper's Table 3 distinguishes single precision (SP), double precision
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// in a vector register) and the instruction classification used by the
 /// static analyzer (e.g. the "number of SD instructions" feature counts
 /// scalar-double instructions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Precision {
     /// 32-bit IEEE-754 float (SP).
     F32,
@@ -74,7 +72,7 @@ impl std::fmt::Display for Precision {
 ///
 /// Accumulators model scalar variables that live across loop iterations:
 /// reduction sums, recurrence carriers, and the like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AccId(pub usize);
 
 impl std::fmt::Display for AccId {

@@ -1,7 +1,6 @@
 //! Architecture descriptors: the four machines of the paper's Table 1.
 
 use fgbs_isa::{Precision, TargetSpec, VOp};
-use serde::{Deserialize, Serialize};
 
 /// Number of dispatch ports modelled (P0..P5, Nehalem-style).
 pub const N_PORTS: usize = 6;
@@ -17,7 +16,7 @@ const P4: PortMask = 1 << 4;
 const P5: PortMask = 1 << 5;
 
 /// One cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheLevel {
     /// Capacity in bytes (per core for private levels).
     pub size: u64,
@@ -30,7 +29,7 @@ pub struct CacheLevel {
 }
 
 /// DRAM parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySystem {
     /// Access latency in cycles.
     pub latency: f64,
@@ -39,7 +38,7 @@ pub struct MemorySystem {
 }
 
 /// Cost of one (possibly vector) instruction on a given architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCost {
     /// Ports able to execute the instruction.
     pub ports: PortMask,
@@ -53,7 +52,7 @@ pub struct OpCost {
 
 /// A machine model: one row of the paper's Table 1 plus the micro-
 /// architectural detail needed to time codelets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arch {
     /// Marketing name ("Nehalem", "Atom", ...).
     pub name: String,

@@ -1,11 +1,9 @@
 //! Hardware performance counters (the simulated PMU).
 
-use serde::{Deserialize, Serialize};
-
 /// Event counts accumulated by a [`crate::Machine`] run. These are the raw
 /// events the Likwid substitute derives dynamic features from (MFLOPS,
 /// bandwidths, miss rates…).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HwCounters {
     /// Core cycles.
     pub cycles: f64,

@@ -1,7 +1,5 @@
 //! Condensed upper-triangular pairwise storage.
 
-use serde::{Deserialize, Serialize};
-
 /// A symmetric pairwise table over `n` observations stored as the
 /// strict upper triangle in one flat buffer of `n·(n−1)/2` cells —
 /// SciPy's "condensed" layout.
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Generic over the cell type: `Condensed<f64>` carries distances, and
 /// `Condensed<i128>` carries the quantised masked-distance accumulators
 /// the GA's incremental fitness updates in place.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Condensed<T> {
     n: usize,
     cells: Vec<T>,

@@ -1,7 +1,5 @@
 //! Contiguous row-major matrices.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense `rows × cols` matrix of `f64` in one contiguous row-major
 /// allocation.
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// chasing one heap pointer per observation as `Vec<Vec<f64>>` does.
 /// Shape is validated once at construction: every kernel downstream may
 /// assume rectangular input.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -2,8 +2,9 @@
 //!
 //! The service speaks just enough HTTP for its JSON endpoints: request
 //! line + headers + optional `Content-Length` body in, status line +
-//! fixed headers + body out. Framing is `Content-Length` only — no
-//! chunked encoding, no TLS — but connections are HTTP/1.1
+//! fixed headers + body out. Framing is `Content-Length` only — a
+//! `Transfer-Encoding` head is refused with 501 (RFC 9112 §6.1), and
+//! there is no TLS — but connections are HTTP/1.1
 //! keep-alive by default: [`try_parse`] consumes one request at a time
 //! out of a growing connection buffer (the event loop's pipelining
 //! primitive), and [`Response::render`] emits either
@@ -23,8 +24,9 @@ pub const DEFAULT_MAX_BODY: usize = 1024 * 1024;
 
 /// Why a request could not be parsed, carrying enough structure for the
 /// connection worker to pick the right status code: oversize payloads
-/// are the *client's* fault and deserve `413`, a socket timeout while
-/// waiting for bytes is `408`, and everything else is a plain `400`.
+/// are the *client's* fault and deserve `413`, a transfer coding the
+/// parser does not implement is `501`, a socket timeout while waiting
+/// for bytes is `408`, and everything else is a plain `400`.
 #[derive(Debug)]
 pub enum RequestError {
     /// The head or declared body exceeded the configured limit.
@@ -36,6 +38,9 @@ pub enum RequestError {
         /// The limit it exceeded.
         limit: usize,
     },
+    /// The head carries `Transfer-Encoding`, framing this parser does
+    /// not implement.
+    TransferEncoding,
     /// An I/O or parse failure from the underlying stream.
     Io(io::Error),
 }
@@ -45,6 +50,7 @@ impl RequestError {
     pub fn status(&self) -> u16 {
         match self {
             RequestError::TooLarge { .. } => 413,
+            RequestError::TransferEncoding => 501,
             RequestError::Io(e) => match e.kind() {
                 io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => 408,
                 _ => 400,
@@ -59,6 +65,7 @@ impl std::fmt::Display for RequestError {
             RequestError::TooLarge { what, len, limit } => {
                 write!(f, "request {what} of {len} bytes exceeds the {limit}-byte limit")
             }
+            RequestError::TransferEncoding => write!(f, "transfer-encoding is not implemented"),
             RequestError::Io(e) => write!(f, "{e}"),
         }
     }
@@ -232,6 +239,7 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Parsed>, RequestE
     // request-smuggling vector (RFC 9112 §6.3): reject instead of
     // silently letting the last one win. Identical repeats are allowed.
     let mut content_length: Option<usize> = None;
+    let mut transfer_encoding = false;
     let mut close = http10;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
@@ -247,6 +255,8 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Parsed>, RequestE
                     }
                     _ => content_length = Some(parsed),
                 }
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                transfer_encoding = true;
             } else if name.eq_ignore_ascii_case("connection") {
                 for token in value.split(',') {
                     let token = token.trim();
@@ -258,6 +268,15 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Parsed>, RequestE
                 }
             }
         }
+    }
+    // A transfer coding would frame the body by its own rules; reading by
+    // `Content-Length` instead would dispatch the chunk bytes as the next
+    // request (RFC 9112 §6.1, §6.3). Both headers at once is malformed.
+    if transfer_encoding {
+        return Err(match content_length {
+            Some(_) => malformed("both content-length and transfer-encoding"),
+            None => RequestError::TransferEncoding,
+        });
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
@@ -369,6 +388,7 @@ impl Response {
             405 => "Method Not Allowed",
             408 => "Request Timeout",
             413 => "Payload Too Large",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Internal Server Error",
         }
@@ -481,6 +501,7 @@ mod tests {
         for (status, reason) in [
             (408, "Request Timeout"),
             (413, "Payload Too Large"),
+            (501, "Not Implemented"),
             (503, "Service Unavailable"),
         ] {
             let mut out = Vec::new();
@@ -567,6 +588,26 @@ mod tests {
         let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
         let parsed = try_parse(raw, 1024).unwrap().unwrap();
         assert_eq!(parsed.request.body, b"hello");
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused_with_501() {
+        // Refused from the head alone, before any chunk arrives.
+        let raw = b"POST /snippets HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
+        let err = try_parse(raw, 1024).unwrap_err();
+        assert_eq!(err.status(), 501);
+        assert!(err.to_string().contains("transfer-encoding"), "{err}");
+        let err = read_request_limited(&mut &raw[..], 1024).unwrap_err();
+        assert_eq!(err.status(), 501);
+    }
+
+    #[test]
+    fn content_length_with_transfer_encoding_is_malformed() {
+        let raw = b"POST /snippets HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\nhello";
+        let err = try_parse(raw, 1024).unwrap_err();
+        assert_eq!(err.status(), 400);
+        assert!(err.to_string().contains("both content-length and"), "{err}");
+        assert_eq!(read_request_limited(&mut &raw[..], 1024).unwrap_err().status(), 400);
     }
 
     #[test]

@@ -282,7 +282,7 @@ fn handle_connection(mut stream: TcpStream, service: &Service, opts: ServeOption
 
 /// The fallible body of [`handle_connection`]: configure socket
 /// deadlines, parse, dispatch, respond. Parse failures still produce a
-/// best-effort HTTP error response (400/408/413); only socket-level
+/// best-effort HTTP error response (400/408/413/501); only socket-level
 /// failures propagate as `Err`.
 fn serve_one(stream: &mut TcpStream, service: &Service, opts: &ServeOptions) -> io::Result<()> {
     stream.set_read_timeout(Some(opts.read_timeout))?;

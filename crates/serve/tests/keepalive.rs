@@ -7,7 +7,8 @@
 //! wedging the server, `Server::shutdown` still answers a request that
 //! is already in flight, and — extending the malformed-frame corpus —
 //! any pair of *conflicting* `Content-Length` headers is rejected with a
-//! 400 before the body is waited for.
+//! 400 before the body is waited for, and a `Transfer-Encoding` head is
+//! refused and closed before its chunk bytes can pass for a request.
 //!
 //! Everything here exercises the epoll reactor, so the suite is
 //! Linux-only; the blocking fallback intentionally closes after every
@@ -334,6 +335,35 @@ fn shutdown_drain_scenario() {
         assert_eq!(reply.body, br#"{"ok":true}"#, "event_loop={event_loop}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn transfer_encoding_is_refused_and_its_chunks_never_dispatched() {
+    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "chunked");
+    // The chunk data is itself a well-formed request: a server that
+    // skipped the coded body would answer it (404) and then the
+    // pipelined `/health` (200).
+    let smuggled = "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n";
+    let chunks = format!("{:x}\r\n{smuggled}\r\n0\r\n\r\n", smuggled.len());
+    let next = "GET /health HTTP/1.1\r\nHost: t\r\n\r\n";
+    for (framing, status) in [
+        ("Transfer-Encoding: chunked\r\n", 501),
+        ("Content-Length: 5\r\nTransfer-Encoding: chunked\r\n", 400),
+    ] {
+        let mut stream = harness.connect();
+        let req = format!("POST /snippets HTTP/1.1\r\nHost: t\r\n{framing}\r\n{chunks}{next}");
+        stream.write_all(req.as_bytes()).expect("send request");
+
+        let mut residue = Vec::new();
+        let reply = read_response(&mut stream, &mut residue).expect("response");
+        assert_eq!(reply.status, status, "{framing:?}");
+        assert!(reply.close, "{framing:?}: the connection must not be reused");
+        assert!(residue.is_empty(), "{framing:?}: a second response followed");
+        let mut rest = Vec::new();
+        let n = stream.read_to_end(&mut rest).expect("read to EOF");
+        assert_eq!(n, 0, "{framing:?}: bytes after the refusal: {rest:?}");
+    }
+    harness.assert_healthy();
 }
 
 // The malformed-frame corpus, extended for request smuggling: any two

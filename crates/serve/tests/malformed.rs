@@ -113,11 +113,21 @@ proptest! {
             (0u64..10_000).prop_map(|n| n.to_string()),
         ],
         body in proptest::collection::vec(any::<u8>(), 0..64),
+        framing in 0u8..3,
     ) {
-        let mut req =
-            format!("{method} /{path} HTTP/1.1\r\ncontent-length: {clen}\r\n\r\n").into_bytes();
+        // Content-length alone, beside transfer-encoding (malformed: 400),
+        // or transfer-encoding alone (not implemented: 501).
+        let cl = format!("content-length: {clen}\r\n");
+        let te = "transfer-encoding: chunked\r\n";
+        let (headers, status) = match framing {
+            0 => (cl, ""),
+            1 => (format!("{cl}{te}"), "400"),
+            _ => (te.to_string(), "501"),
+        };
+        let mut req = format!("{method} /{path} HTTP/1.1\r\n{headers}\r\n").into_bytes();
         req.extend_from_slice(&body);
         let resp = poke(&req);
+        prop_assert!(resp.starts_with(&format!("HTTP/1.1 {status}")), "unexpected reply: {resp:?}");
         assert_alive_and_sane(&resp);
     }
 

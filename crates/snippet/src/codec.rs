@@ -1,7 +1,7 @@
 //! Binary serialization of the `fgbs-isa` IR.
 //!
-//! The vendored `serde` is a no-op marker, so codelets are encoded by
-//! hand over the store's [`ByteWriter`]/[`ByteReader`] pair. Enum
+//! Codelets are encoded by hand over the store's [`ByteWriter`]/
+//! [`ByteReader`] pair, the workspace's one binary codec. Enum
 //! variants are single-byte discriminants; unknown discriminants are
 //! rejected with a structured error (never a fallback variant), and the
 //! recursive [`Expr`] decoder is depth-guarded so corrupt bytes cannot

@@ -1,9 +1,8 @@
 //! A tiny, dependency-free binary codec.
 //!
-//! The vendored `serde` is a no-op marker stand-in (nothing in the build
-//! environment can pull the real crate), so artifacts are encoded with an
-//! explicit little-endian writer/reader pair instead. The format is
-//! deliberately dumb: fixed-width integers, `f64` as IEEE-754 bit
+//! This explicit little-endian writer/reader pair is the workspace's one
+//! binary codec: store artifacts, snippet packs and memory dumps are all
+//! encoded with it. The format is deliberately dumb: fixed-width integers, `f64` as IEEE-754 bit
 //! patterns (bitwise-exact round trips, NaN included), and length-prefixed
 //! strings and sequences. Determinism is a hard requirement — the same
 //! value must always encode to the same bytes, because artifact keys and

@@ -31,8 +31,8 @@
 //! sorted, ids/timestamps/tids ignored) so tests can assert tree
 //! equality across thread counts.
 //!
-//! Recording is cheap enough to leave on (see `crates/bench/benches/
-//! trace.rs`): a span is one relaxed atomic load when disabled, and two
+//! Recording is cheap enough to leave on (the barometer row
+//! `trace/span/n1/t1` gates it at 200 ns per span): a span is one relaxed atomic load when disabled, and two
 //! timestamps plus a thread-local push when enabled — records buffer in
 //! unsynchronised thread-local storage and reach the shared shard in
 //! batched flushes ([`flush`]), so the hot path takes no lock.
