@@ -82,6 +82,15 @@ pub enum Stage {
     /// One `WorkPool::map_indexed` over `size` trivial items: the
     /// pool's fixed cost per map.
     PoolMapOverhead,
+    /// Steps A + B (reference runs, detection, features) on the first
+    /// `size` Test-class NAS applications.
+    ProfileRun,
+    /// One simulated invocation of a memory-bound stream over `size`
+    /// elements that outgrow the reference's last-level cache.
+    SimulateMemory,
+    /// One simulated invocation of a compute-bound divide/sqrt loop of
+    /// `size` iterations over L1-resident data.
+    SimulateCompute,
 }
 
 impl Stage {
@@ -116,6 +125,9 @@ impl Stage {
             "serve_load_event_wall" => Stage::ServeLoadEventWall,
             "serve_load_blocking_wall" => Stage::ServeLoadBlockingWall,
             "pool_map_overhead" => Stage::PoolMapOverhead,
+            "profile_run" => Stage::ProfileRun,
+            "simulate_memory" => Stage::SimulateMemory,
+            "simulate_compute" => Stage::SimulateCompute,
             _ => return None,
         })
     }
@@ -337,6 +349,8 @@ mod tests {
             "snippet",
             "obs",
             "serve",
+            "profile",
+            "machine",
         ] {
             assert!(
                 r.benchmarks.iter().any(|b| b.suite == suite),
@@ -372,6 +386,11 @@ mod tests {
         let armed_gate = armed.gate.as_ref().unwrap();
         assert_eq!(armed_gate.vs, "pipeline/reduce/n10/t0");
         assert_eq!(armed_gate.max_ratio, 1.05);
+        // Profiling on two workers must be no slower than on one.
+        let profile = r.find("profile/run/n7/t2").unwrap();
+        let gate = profile.gate.as_ref().unwrap();
+        assert_eq!(gate.vs, "profile/run/n7/t1");
+        assert_eq!(gate.max_ratio, 1.05);
         // Replaying a pack must cost within 5% of in-process execution.
         let replay = r.find("snippet/replay/n3/t1").unwrap();
         let gate = replay.gate.as_ref().unwrap();
@@ -456,6 +475,10 @@ mod tests {
             "serve_load_blocking_p99",
             "serve_load_event_wall",
             "serve_load_blocking_wall",
+            "pool_map_overhead",
+            "profile_run",
+            "simulate_memory",
+            "simulate_compute",
         ] {
             assert!(Stage::parse(name).is_some(), "stage `{name}` must parse");
         }

@@ -19,13 +19,16 @@ use fgbs_clustering::{linkage, medoid, normalize, DistanceMatrix, Linkage, Maske
 use fgbs_clustering::naive_linkage;
 use fgbs_core::{profile_reference, reduce_cached, select_features_ga, KChoice, MicroCache, PipelineConfig};
 use fgbs_genetic::GaConfig;
-use fgbs_machine::{Arch, PARK_SCALE};
+use fgbs_isa::{
+    compile, Binding, BindingBuilder, CodeletBuilder, CompileMode, CompiledKernel, Precision,
+};
+use fgbs_machine::{Arch, Machine, PARK_SCALE};
 use fgbs_matrix::Matrix;
 use fgbs_pool::WorkPool;
 use fgbs_serve::{loadgen, LoopOptions, ServeOptions, Server, Service};
 use fgbs_snippet::{build_pack, encode_pack, parse_pack, replay_pack, snippet_digest, verify_pack};
 use fgbs_store::{ArtifactKind, Store};
-use fgbs_suites::{bigdata_suite, nr_suite, Class};
+use fgbs_suites::{bigdata_suite, nas_suite, nr_suite, Class};
 
 use super::registry::{BenchDef, Stage};
 
@@ -369,6 +372,20 @@ pub fn measure(def: &BenchDef, samples: usize, effective_threads: usize) -> Resu
                 black_box(pool.map_indexed(def.size, black_box));
             })
         }
+        Stage::ProfileRun => {
+            let apps: Vec<_> = nas_suite(Class::Test).into_iter().take(def.size).collect();
+            let cfg = PipelineConfig::default().with_threads(threads);
+            run_samples(batch, samples, |_| {
+                black_box(profile_reference(&apps, &cfg));
+            })
+        }
+        Stage::SimulateMemory | Stage::SimulateCompute => {
+            let (kernel, binding) = simulated_kernel(def.stage, def.size as u64);
+            let mut machine = Machine::new(Arch::reference_scaled());
+            run_samples(batch, samples, |_| {
+                black_box(machine.run(&kernel, &binding));
+            })
+        }
         Stage::SnippetInproc => {
             // The replay gate's baseline: the same codelets and contexts
             // executed straight from the in-process suite, no pack in
@@ -391,6 +408,52 @@ pub fn measure(def: &BenchDef, samples: usize, effective_threads: usize) -> Resu
         }
     };
     Ok(out)
+}
+
+/// Elements per array of the compute-bound kernel: two 2 KB arrays,
+/// inside the scaled reference's 4 KB L1.
+const COMPUTE_LANE: u64 = 256;
+
+/// The simulator rows' kernels, compiled for the scaled reference.
+/// `SimulateMemory` is a stream triad over three `n`-element arrays
+/// (24·n bytes: 6 MB at n = 262144, four times the 1.5 MB L3);
+/// `SimulateCompute` sweeps a divide and a square root over
+/// [`COMPUTE_LANE`] elements `n / COMPUTE_LANE` times.
+fn simulated_kernel(stage: Stage, n: u64) -> (CompiledKernel, Binding) {
+    let (codelet, binding) = if stage == Stage::SimulateMemory {
+        let c = CodeletBuilder::new("stream", "bench")
+            .array("a", Precision::F64)
+            .array("b", Precision::F64)
+            .array("c", Precision::F64)
+            .param_loop("n")
+            .store("a", &[1], |e| e.load("b", &[1]) + e.load("c", &[1]) * 0.5)
+            .build();
+        let b = BindingBuilder::new(0)
+            .vector(n, 8)
+            .vector(n, 8)
+            .vector(n, 8)
+            .param(n)
+            .build_for(&c);
+        (c, b)
+    } else {
+        let c = CodeletBuilder::new("divide", "bench")
+            .array("x", Precision::F64)
+            .array("y", Precision::F64)
+            .fixed_loop((n / COMPUTE_LANE).max(1))
+            .param_loop("n")
+            .store("y", &[0, 1], |e| {
+                e.load("x", &[0, 1]).sqrt() / (e.load("x", &[0, 1]) + 1.0)
+            })
+            .build();
+        let b = BindingBuilder::new(0)
+            .vector(COMPUTE_LANE, 8)
+            .vector(COMPUTE_LANE, 8)
+            .param(COMPUTE_LANE)
+            .build_for(&c);
+        (c, b)
+    };
+    let target = Arch::reference_scaled().target();
+    (compile(&codelet, &target, CompileMode::InApp), binding)
 }
 
 /// A per-process scratch directory for store benchmarks.
@@ -504,6 +567,27 @@ mod tests {
             assert_eq!(samples.len(), 1);
             assert!(samples[0].is_finite() && samples[0] >= 0.0, "{}", def.id);
         }
+    }
+
+    #[test]
+    fn simulator_rows_are_memory_and_compute_bound() {
+        let arch = Arch::reference_scaled();
+        let last = |stage| {
+            let (kernel, binding) = simulated_kernel(stage, 262_144);
+            let mut machine = Machine::new(arch.clone());
+            machine.run(&kernel, &binding);
+            machine.run(&kernel, &binding)
+        };
+        // Warm second runs: the stream still misses every cache level,
+        // the divide loop never leaves L1.
+        let memory = last(Stage::SimulateMemory);
+        let compute = last(Stage::SimulateCompute);
+        let misses = |m: &fgbs_machine::Measurement| *m.counters.cache_misses.last().unwrap();
+        assert!(misses(&memory) > 10_000, "stream misses the L3: {memory:?}");
+        assert_eq!(
+            compute.counters.cache_misses[0], 0,
+            "divide stays in L1: {compute:?}"
+        );
     }
 
     #[test]

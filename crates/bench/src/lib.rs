@@ -20,7 +20,7 @@ pub mod barometer;
 
 use fgbs_analysis::{table2_features, FeatureMask};
 use fgbs_core::{
-    profile_reference, profile_target, select_features_ga, MicroCache, PipelineConfig,
+    profile_reference, profile_targets, select_features_ga, MicroCache, PipelineConfig,
     ProfiledSuite,
 };
 use fgbs_extract::AppRun;
@@ -134,13 +134,8 @@ impl NasLab {
         eprintln!("[lab] profiling NAS (class {:?}) on {}…", opts.class, cfg.reference.name);
         let suite = profile_reference(&nas_suite(opts.class), &cfg);
         let targets = Arch::targets_scaled();
-        let runs = targets
-            .iter()
-            .map(|t| {
-                eprintln!("[lab] ground-truth run on {}…", t.name);
-                profile_target(&suite, t, &cfg)
-            })
-            .collect();
+        eprintln!("[lab] ground-truth runs on {} targets…", targets.len());
+        let runs = profile_targets(&suite, &targets, &cfg, &cfg.pool());
         NasLab {
             opts,
             cfg,
@@ -182,10 +177,7 @@ impl NrLab {
             Arch::atom().scaled(PARK_SCALE),
             Arch::sandy_bridge().scaled(PARK_SCALE),
         ];
-        let runs = targets
-            .iter()
-            .map(|t| profile_target(&suite, t, &cfg))
-            .collect();
+        let runs = profile_targets(&suite, &targets, &cfg, &cfg.pool());
         NrLab {
             opts,
             cfg,

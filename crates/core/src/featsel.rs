@@ -7,7 +7,6 @@
 
 use fgbs_analysis::{FeatureMask, N_FEATURES};
 use fgbs_clustering::{normalize, MaskedDistanceCache};
-use fgbs_extract::AppRun;
 use fgbs_genetic::{minimize_parallel, BitGenome, FitnessCache, GaConfig};
 use fgbs_machine::Arch;
 use parking_lot::Mutex;
@@ -15,7 +14,7 @@ use parking_lot::Mutex;
 use crate::config::PipelineConfig;
 use crate::micras::MicroCache;
 use crate::predict::predict_with_runs;
-use crate::profile::{profile_target, ProfiledSuite};
+use crate::profile::{profile_targets, ProfiledSuite};
 use crate::reduce::{reduce_from_distances, wellness};
 
 /// Result of the GA search.
@@ -78,10 +77,7 @@ pub fn select_features_ga(
     stage_span.arg_u64("population", ga.population as u64);
     stage_span.arg_u64("generations", ga.generations as u64);
     let cache = MicroCache::new();
-    let runs: Vec<Vec<AppRun>> = targets
-        .iter()
-        .map(|t| profile_target(suite, t, cfg))
-        .collect();
+    let runs = profile_targets(suite, targets, cfg, &cfg.pool());
 
     let mut ga_cfg = ga.clone();
     ga_cfg.genome_len = N_FEATURES;

@@ -72,7 +72,8 @@ pub use predict::{
     model_matrix, predict, predict_with_runs, try_predict, CodeletPrediction, PredictionOutcome,
 };
 pub use profile::{
-    profile_reference, profile_target, try_profile_reference, CodeletInfo, ProfiledSuite,
+    profile_reference, profile_target, profile_targets, try_profile_reference, CodeletInfo,
+    ProfiledSuite,
 };
 pub use reduce::{
     reduce, reduce_cached, reduce_with_observations, try_reduce_cached, wellness, Cluster,

@@ -3,17 +3,21 @@
 //! System selection evaluates many candidate machines; every target's
 //! ground-truth run, prediction and reduction factor are independent, so
 //! they fan out over the shared work pool ([`fgbs_pool::WorkPool`], the
-//! same executor the GA and the distance matrix use). Results come back
-//! in target order regardless of scheduling.
+//! same executor the GA and the distance matrix use). The ground-truth
+//! runs, which dominate, fan out one item per target × application; the
+//! rest one item per target. Results come back in target order
+//! regardless of scheduling.
 
+use fgbs_extract::AppRun;
 use fgbs_machine::Arch;
 use fgbs_pool::WorkPool;
+use parking_lot::Mutex;
 
 use crate::appagg::{aggregate_apps, geometric_mean_speedup, AppPrediction};
 use crate::config::PipelineConfig;
 use crate::micras::MicroCache;
-use crate::predict::{predict_with_runs, PredictionOutcome};
-use crate::profile::{profile_target, ProfiledSuite};
+use crate::predict::{predict_owning_runs, PredictionOutcome};
+use crate::profile::{profile_targets, ProfiledSuite};
 use crate::reduce::ReducedSuite;
 use crate::reduction::{reduction_factor, ReductionBreakdown};
 
@@ -33,8 +37,8 @@ pub struct TargetEvaluation {
 }
 
 /// Evaluate the reduced suite on every target, fanned out over the
-/// configured work pool (one work item per target; `cfg.threads` caps the
-/// workers). The microbenchmark cache is shared across threads.
+/// configured work pool (`cfg.threads` caps the workers). The
+/// microbenchmark cache is shared across threads.
 pub fn evaluate_targets(
     suite: &ProfiledSuite,
     reduced: &ReducedSuite,
@@ -54,9 +58,21 @@ pub fn evaluate_targets_with(
     cfg: &PipelineConfig,
     pool: &WorkPool,
 ) -> Vec<TargetEvaluation> {
-    pool.map(targets, |_, target| {
-        let runs = profile_target(suite, target, cfg);
-        let outcome = predict_with_runs(suite, reduced, target, &runs, cache, cfg);
+    let _request_ctx = cfg.enter_request();
+    let mut stage_span = fgbs_trace::span("stage.evaluate");
+    stage_span.arg_u64("targets", targets.len() as u64);
+    if cfg.request_id != 0 {
+        stage_span.arg_u64("req", cfg.request_id);
+    }
+    // Each target's runs move into its outcome: the slot is emptied by
+    // the one item that owns it, so no run is copied.
+    let runs: Vec<Mutex<Vec<AppRun>>> = profile_targets(suite, targets, cfg, pool)
+        .into_iter()
+        .map(Mutex::new)
+        .collect();
+    pool.map(targets, |t, target| {
+        let runs = std::mem::take(&mut *runs[t].lock());
+        let outcome = predict_owning_runs(suite, reduced, target, runs, cache, cfg);
         let reduction = reduction_factor(suite, reduced, &outcome, target, cache, cfg);
         let apps = aggregate_apps(suite, &outcome, target, cfg);
         let geomean = geometric_mean_speedup(&apps);
@@ -87,7 +103,8 @@ pub fn rank_targets(evals: &[TargetEvaluation]) -> Vec<(String, f64, f64)> {
 mod tests {
     use super::*;
     use crate::config::KChoice;
-    use crate::profile::profile_reference;
+    use crate::predict::predict_with_runs;
+    use crate::profile::{profile_reference, profile_target};
     use crate::reduce::reduce_cached;
     use fgbs_machine::PARK_SCALE;
     use fgbs_suites::{nr_suite, Class};

@@ -109,6 +109,19 @@ pub fn predict_with_runs(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
+    predict_owning_runs(suite, reduced, target, target_runs.to_vec(), cache, cfg)
+}
+
+/// [`predict_with_runs`] taking the runs by value: the outcome keeps
+/// them, so callers that are done with the runs avoid a copy.
+pub(crate) fn predict_owning_runs(
+    suite: &ProfiledSuite,
+    reduced: &ReducedSuite,
+    target: &Arch,
+    target_runs: Vec<AppRun>,
+    cache: &MicroCache,
+    cfg: &PipelineConfig,
+) -> PredictionOutcome {
     let _request_ctx = cfg.enter_request();
     let mut stage_span = fgbs_trace::span("stage.predict");
     stage_span.arg_u64("representatives", reduced.clusters.len() as u64);
@@ -174,7 +187,7 @@ pub fn predict_with_runs(
     PredictionOutcome {
         target: target.name.clone(),
         predictions,
-        target_runs: target_runs.to_vec(),
+        target_runs,
         rep_seconds,
     }
 }
@@ -270,7 +283,7 @@ fn compute_predict(
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
     let runs = profile_target(suite, target, cfg);
-    predict_with_runs(suite, reduced, target, &runs, &MicroCache::new(), cfg)
+    predict_owning_runs(suite, reduced, target, runs, &MicroCache::new(), cfg)
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use fgbs_analysis::{dynamic_features, static_features, FeatureMatrix, FeatureVec
 use fgbs_extract::{run_application, AppRun, Application, Microbenchmark};
 use fgbs_isa::{compile, CompileMode};
 use fgbs_machine::Arch;
+use fgbs_pool::WorkPool;
 
 use crate::config::PipelineConfig;
 
@@ -108,13 +109,13 @@ fn compute_profile(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite 
         stage_span.arg_u64("req", cfg.request_id);
     }
     let arch = &cfg.reference;
-    let runs: Vec<AppRun> = {
-        let _run_span = fgbs_trace::span("profile.run");
-        apps.iter()
-            .enumerate()
-            .map(|(i, app)| run_application(app, arch, cfg.noise_seed ^ (i as u64) << 8))
-            .collect()
-    };
+    // One item per application: each seed derives from the app's index,
+    // so the runs are the same at any thread count.
+    let runs: Vec<AppRun> = cfg.pool().map(apps, |i, app| {
+        let mut run_span = fgbs_trace::span("profile.run");
+        run_span.arg_str("app", &app.name);
+        run_application(app, arch, cfg.noise_seed ^ (i as u64) << 8)
+    });
 
     let mut codelets = Vec::new();
     let mut features = FeatureMatrix::new();
@@ -164,15 +165,38 @@ fn compute_profile(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite 
 }
 
 /// Ground-truth target run: execute every application in full on `target`
-/// (this is exactly what the reduced suite is meant to replace).
+/// (this is exactly what the reduced suite is meant to replace). The
+/// applications fan out over the configured work pool.
 pub fn profile_target(suite: &ProfiledSuite, target: &Arch, cfg: &PipelineConfig) -> Vec<AppRun> {
-    let mut span = fgbs_trace::span("profile.target");
-    span.arg_str("target", target.name.clone());
-    suite
-        .apps
+    let mut runs = profile_targets(suite, std::slice::from_ref(target), cfg, &cfg.pool());
+    runs.pop().expect("one run list per target")
+}
+
+/// [`profile_target`] for several targets as one flat map over
+/// `targets × apps` on `pool`, so a few targets still fill every worker.
+/// Returns one run list per target, in target order. Application `i`'s
+/// seed depends on `i` alone, so the runs are the same at any thread
+/// count.
+pub fn profile_targets(
+    suite: &ProfiledSuite,
+    targets: &[Arch],
+    cfg: &PipelineConfig,
+    pool: &WorkPool,
+) -> Vec<Vec<AppRun>> {
+    let n = suite.apps.len();
+    let mut runs = pool
+        .map_indexed(targets.len() * n, |k| {
+            let (target, i) = (&targets[k / n], k % n);
+            let app = &suite.apps[i];
+            let mut span = fgbs_trace::span("profile.target");
+            span.arg_str("target", &target.name);
+            span.arg_str("app", &app.name);
+            run_application(app, target, cfg.noise_seed ^ 0xA11 ^ ((i as u64) << 8))
+        })
+        .into_iter();
+    targets
         .iter()
-        .enumerate()
-        .map(|(i, app)| run_application(app, target, cfg.noise_seed ^ 0xA11 ^ ((i as u64) << 8)))
+        .map(|_| runs.by_ref().take(n).collect())
         .collect()
 }
 

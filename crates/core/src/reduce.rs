@@ -56,23 +56,26 @@ impl ReducedSuite {
 /// Which codelets are *well-behaved*: their standalone microbenchmark,
 /// run on the reference architecture, reproduces the in-app time within
 /// 10 %. Mask-independent, so computed once and reused across sweeps.
+///
+/// The codelets fan out over the configured work pool; a measurement
+/// depends only on the codelet's index and the architecture, so the
+/// result is the same at any thread count. Each item records its own
+/// `reduce.wellness` span, which keeps the micro-runs' time booked to
+/// wellness and not to the map.
 pub fn wellness(suite: &ProfiledSuite, cfg: &PipelineConfig, cache: &MicroCache) -> Vec<bool> {
-    suite
-        .codelets
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let micro = cache.measure(
-                i,
-                &c.micro,
-                &cfg.reference,
-                cfg.noise_seed,
-                cfg.micro_min_seconds,
-                cfg.micro_min_invocations,
-            );
-            behaves_well(micro.median_cycles, c.tref_cycles)
-        })
-        .collect()
+    cfg.pool().map(&suite.codelets, |i, c| {
+        let mut span = fgbs_trace::span("reduce.wellness");
+        span.arg_u64("codelet", i as u64);
+        let micro = cache.measure(
+            i,
+            &c.micro,
+            &cfg.reference,
+            cfg.noise_seed,
+            cfg.micro_min_seconds,
+            cfg.micro_min_invocations,
+        );
+        behaves_well(micro.median_cycles, c.tref_cycles)
+    })
 }
 
 /// Step D's selection process over an arbitrary partition: pick the

@@ -74,7 +74,10 @@ impl Microbenchmark {
     ) -> MicroResult {
         // Standalone compilation: fragile codelets change here.
         let kernel = compile(&self.codelet, &arch.target(), CompileMode::Standalone);
-        let (binding, _mem) = self.dump.restore(&self.codelet);
+        // The simulator replays addresses, not values: the restored
+        // memory only proves the dump's witness, so it is freed here
+        // rather than held through the timed loop.
+        let (binding, _) = self.dump.restore(&self.codelet);
         let mut machine = Machine::new(arch.clone());
         let mut watch = Stopwatch::for_arch(arch, noise_seed ^ 0x4d49_4352);
 

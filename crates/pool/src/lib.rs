@@ -96,8 +96,11 @@ struct Queue {
 }
 
 impl Queue {
-    /// Spawn workers until there are at least `want`.
-    fn grow(&mut self, want: usize) {
+    /// Spawn workers until there are at least `want`; returns how many
+    /// were spawned. A new worker looks at the queue before it first
+    /// sleeps, so it is as free to take work as an idle one.
+    fn grow(&mut self, want: usize) -> usize {
+        let before = self.workers;
         while self.workers < want {
             std::thread::Builder::new()
                 .name(format!("fgbs-pool-{}", self.workers))
@@ -105,6 +108,7 @@ impl Queue {
                 .expect("spawn pool worker");
             self.workers += 1;
         }
+        self.workers - before
     }
 
     /// Wake a sleeping worker for newly queued work, unless one is
@@ -406,12 +410,13 @@ impl WorkPool {
             seats: Mutex::default(),
             left: Condvar::new(),
         });
-        // Ask only sleeping workers that no queued work has claimed: a
-        // busy one would arrive after the caller has drained the map.
+        // Ask only sleeping (or just spawned) workers that no queued work
+        // has claimed: a busy one would arrive after the caller has
+        // drained the map.
         {
             let mut queue = lock(&QUEUE);
-            queue.grow(self.threads);
-            let helpers = queue.idle.saturating_sub(queue.work.len()).min(threads - 1);
+            let free = queue.idle + queue.grow(self.threads);
+            let helpers = free.saturating_sub(queue.work.len()).min(threads - 1);
             for seat in (1..=helpers).rev() {
                 queue.work.push_front(Work::Help(Arc::clone(&map), seat));
             }

@@ -47,6 +47,9 @@ pub(crate) enum Step {
 pub(crate) struct Conn<S> {
     stream: S,
     inbuf: Vec<u8>,
+    /// How far into `inbuf` the search for the end of the request head
+    /// has looked (see [`http::try_parse_resuming`]).
+    scanned: usize,
     outbuf: Vec<u8>,
     written: usize,
     state: State,
@@ -74,6 +77,7 @@ impl<S: Read + Write> Conn<S> {
         Conn {
             stream,
             inbuf: Vec::new(),
+            scanned: 0,
             outbuf: Vec::new(),
             written: 0,
             state: State::Reading,
@@ -127,7 +131,7 @@ impl<S: Read + Write> Conn<S> {
             // Stop slurping once a full frame is buffered: leftover
             // pipelined bytes stay in the socket (TCP backpressure)
             // until this request's response has drained.
-            if matches!(http::try_parse(&self.inbuf, self.opts.max_body), Ok(Some(_))) {
+            if matches!(self.try_parse(), Ok(Some(_))) {
                 break;
             }
             match self.stream.read(&mut chunk) {
@@ -144,13 +148,20 @@ impl<S: Read + Write> Conn<S> {
         self.advance(now)
     }
 
+    /// Frame the request at the front of `inbuf`, scanning for the end
+    /// of its head only where earlier calls have not looked.
+    fn try_parse(&mut self) -> Result<Option<http::Parsed>, http::RequestError> {
+        http::try_parse_resuming(&self.inbuf, self.opts.max_body, &mut self.scanned)
+    }
+
     /// Try to carve the next request out of the buffer (or conclude the
     /// connection). Only called in `Reading` state.
     fn advance(&mut self, now: Instant) -> Step {
         debug_assert_eq!(self.state, State::Reading);
-        match http::try_parse(&self.inbuf, self.opts.max_body) {
+        match self.try_parse() {
             Ok(Some(parsed)) => {
                 self.inbuf.drain(..parsed.consumed);
+                self.scanned = 0;
                 self.close_requested |= parsed.close;
                 self.state = State::Dispatched;
                 self.read_deadline = None;

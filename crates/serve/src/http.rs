@@ -168,13 +168,14 @@ pub fn read_request_limited(
 ) -> Result<Request, RequestError> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
+    let mut scanned = 0;
     loop {
-        if let Some(parsed) = try_parse(&buf, max_body)? {
+        if let Some(parsed) = try_parse_resuming(&buf, max_body, &mut scanned)? {
             return Ok(parsed.request);
         }
         let n = stream.read(&mut chunk)?;
         if n == 0 {
-            let what = if find_head_end(&buf).is_some() {
+            let what = if find_head_end(&buf, 0).is_some() {
                 "connection closed mid-body"
             } else {
                 "connection closed mid-request"
@@ -208,9 +209,26 @@ pub struct Parsed {
 /// present, and an error as soon as one is *knowable*: an oversized or
 /// conflicting head fails without waiting for the body to arrive.
 pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Parsed>, RequestError> {
-    let head_end = match find_head_end(buf) {
-        Some(pos) => pos,
+    try_parse_resuming(buf, max_body, &mut 0)
+}
+
+/// [`try_parse`] for a buffer that only grows between calls. `scanned`
+/// carries how far earlier calls searched for the end of the head, so
+/// each call scans only the new bytes and the 3 before them, where a
+/// `\r\n\r\n` split across reads may begin. Reset it to 0 when the
+/// front of the buffer is drained.
+pub(crate) fn try_parse_resuming(
+    buf: &[u8],
+    max_body: usize,
+    scanned: &mut usize,
+) -> Result<Option<Parsed>, RequestError> {
+    let head_end = match find_head_end(buf, *scanned) {
+        Some(pos) => {
+            *scanned = pos;
+            pos
+        }
         None => {
+            *scanned = buf.len();
             if buf.len() > MAX_HEAD {
                 return Err(RequestError::TooLarge {
                     what: "head",
@@ -311,8 +329,14 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Parsed>, RequestE
     }))
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Offset of the first `\r\n\r\n` in `buf`, given that none starts
+/// before `from - 3`.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let start = from.saturating_sub(3);
+    buf[start..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|pos| start + pos)
 }
 
 /// An HTTP response ready to serialise.
@@ -564,6 +588,41 @@ mod tests {
         assert!(!parsed.close, "HTTP/1.1 defaults to keep-alive");
         // The residue behind `consumed` is the next pipelined request.
         assert_eq!(&raw[parsed.consumed..], b"GET /x");
+    }
+
+    #[test]
+    fn head_fed_one_byte_per_read_parses_the_same() {
+        let raw: &[u8] = b"POST /reduce?suite=nr HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello";
+        let whole = try_parse(raw, 1024).unwrap().unwrap();
+
+        // The resuming scan, one byte per read as a slow client sends it.
+        let mut buf = Vec::new();
+        let mut scanned = 0;
+        for (i, &byte) in raw.iter().enumerate() {
+            buf.push(byte);
+            let parsed = try_parse_resuming(&buf, 1024, &mut scanned).unwrap();
+            if i + 1 < raw.len() {
+                assert!(parsed.is_none(), "{} bytes are not a full frame", i + 1);
+                assert!(scanned <= buf.len());
+            } else {
+                assert_eq!(parsed.unwrap(), whole);
+            }
+        }
+
+        // The blocking reader resumes its scan the same way.
+        struct OneByte<'a>(&'a [u8]);
+        impl Read for OneByte<'_> {
+            fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                let Some((&b, rest)) = self.0.split_first() else {
+                    return Ok(0);
+                };
+                out[0] = b;
+                self.0 = rest;
+                Ok(1)
+            }
+        }
+        let request = read_request_limited(&mut OneByte(raw), 1024).unwrap();
+        assert_eq!(request, whole.request);
     }
 
     #[test]

@@ -184,7 +184,8 @@ pub type Arg = (&'static str, ArgValue);
 /// first lives inline in the record — the common instrumentation shape
 /// costs no heap allocation and no extra record bytes on the span hot
 /// path — and further arguments spill to the heap (only once-per-stage
-/// spans carry more than one).
+/// spans and the per-application `profile.target` runs carry more than
+/// one).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Args {
     inline: Option<Arg>,

@@ -375,3 +375,77 @@ fn iteration_count_consistency_across_engines() {
     }
     assert!(checked > 20, "checked {checked} codelets");
 }
+
+/// Determinism regression for `select`'s simulator fan-outs: the
+/// reference runs (one item per application), the wellness micro-runs
+/// (one per codelet) and the ground-truth runs (one per target ×
+/// application) must come out bitwise identical at 1 and 8 threads.
+/// Debug output prints every `f64` in its shortest round-trip form, so
+/// equal strings mean equal bits.
+#[test]
+fn select_fan_outs_are_bitwise_identical_across_thread_counts() {
+    use fgbs::core::{
+        evaluate_targets, profile_reference, rank_targets, reduce_cached, wellness, KChoice,
+        MicroCache, PipelineConfig,
+    };
+    use fgbs::suites::{nas_suite, Class};
+
+    let apps = nas_suite(Class::Test);
+    let targets = Arch::targets_scaled();
+    let run = |threads: usize| {
+        let cfg = PipelineConfig::default()
+            .with_k(KChoice::Elbow { max_k: 24 })
+            .with_threads(threads);
+        let suite = profile_reference(&apps, &cfg);
+        let well = wellness(&suite, &cfg, &MicroCache::new());
+        let cache = MicroCache::new();
+        let reduced = reduce_cached(&suite, &cfg, &cache);
+        let evals = evaluate_targets(&suite, &reduced, &targets, &cache, &cfg);
+        let rank = rank_targets(&evals);
+        (suite, well, evals, rank)
+    };
+    let (s1, w1, e1, r1) = run(1);
+    let (s8, w8, e8, r8) = run(8);
+
+    assert_eq!(
+        format!("{:?}", s1.runs),
+        format!("{:?}", s8.runs),
+        "reference runs"
+    );
+    assert_eq!(s1.features, s8.features);
+    assert_eq!(format!("{:?}", s1.features), format!("{:?}", s8.features));
+    assert_eq!(s1.coverage.to_bits(), s8.coverage.to_bits());
+    let tref = |s: &fgbs::core::ProfiledSuite| -> Vec<u64> {
+        s.codelets.iter().map(|c| c.tref_cycles.to_bits()).collect()
+    };
+    assert_eq!(tref(&s1), tref(&s8), "tref_cycles");
+    assert_eq!(w1, w8, "wellness");
+    assert!(w1.iter().any(|&w| w), "some codelet behaves well");
+
+    assert_eq!(e1.len(), targets.len());
+    for (a, b) in e1.iter().zip(&e8) {
+        assert_eq!(a.target, b.target);
+        assert_eq!(a.outcome.target_runs.len(), apps.len());
+        assert_eq!(
+            format!("{:?}", a.outcome.predictions),
+            format!("{:?}", b.outcome.predictions),
+            "{}: predictions",
+            a.target
+        );
+        assert_eq!(
+            format!("{:?}", a.outcome.target_runs),
+            format!("{:?}", b.outcome.target_runs),
+            "{}: target runs",
+            a.target
+        );
+        assert_eq!(
+            format!("{:?}", a.outcome.rep_seconds),
+            format!("{:?}", b.outcome.rep_seconds),
+            "{}: representative seconds",
+            a.target
+        );
+        assert_eq!(a.geomean.0.to_bits(), b.geomean.0.to_bits(), "{}", a.target);
+        assert_eq!(a.geomean.1.to_bits(), b.geomean.1.to_bits(), "{}", a.target);
+    }
+    assert_eq!(format!("{r1:?}"), format!("{r8:?}"), "rank");
+}
