@@ -25,7 +25,7 @@ use fgbs_isa::{
 use fgbs_machine::{Arch, Machine, PARK_SCALE};
 use fgbs_matrix::Matrix;
 use fgbs_pool::WorkPool;
-use fgbs_serve::{loadgen, LoopOptions, ServeOptions, Server, Service};
+use fgbs_serve::{loadgen, ServeOptions, Server, Service};
 use fgbs_snippet::{build_pack, encode_pack, parse_pack, replay_pack, snippet_digest, verify_pack};
 use fgbs_store::{ArtifactKind, Store};
 use fgbs_suites::{bigdata_suite, nas_suite, nr_suite, Class};
@@ -502,18 +502,12 @@ fn serve_load(
         PipelineConfig::fast().with_threads(1),
         store,
     ));
-    let tuning = LoopOptions {
+    let serve_opts = ServeOptions {
         event_loop,
-        ..LoopOptions::default()
+        ..ServeOptions::default()
     };
-    let server = Server::start_tuned(
-        "127.0.0.1:0",
-        threads,
-        service,
-        ServeOptions::default(),
-        tuning,
-    )
-    .map_err(|e| format!("bench serve bind: {e}"))?;
+    let server = Server::start_with("127.0.0.1:0", threads, service, serve_opts)
+        .map_err(|e| format!("bench serve bind: {e}"))?;
     let opts = loadgen::LoadOptions {
         conns,
         requests: SERVE_REQUESTS_PER_CONN,

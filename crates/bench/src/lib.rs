@@ -56,12 +56,9 @@ impl Options {
             match a.as_str() {
                 "--class" => {
                     let v = args.next().unwrap_or_default();
-                    o.class = match v.to_ascii_lowercase().as_str() {
-                        "test" => Class::Test,
-                        "a" => Class::A,
-                        "b" => Class::B,
-                        other => panic!("unknown class `{other}` (test|a|b)"),
-                    };
+                    let name = v.to_ascii_lowercase();
+                    o.class = Class::from_name(&name)
+                        .unwrap_or_else(|| panic!("unknown class `{name}` (test|a|b)"));
                 }
                 "--quick" => o.quick = true,
                 "--paper-features" => o.paper_features = true,
@@ -135,7 +132,7 @@ impl NasLab {
         let suite = profile_reference(&nas_suite(opts.class), &cfg);
         let targets = Arch::targets_scaled();
         eprintln!("[lab] ground-truth runs on {} targets…", targets.len());
-        let runs = profile_targets(&suite, &targets, &cfg, &cfg.pool());
+        let runs = profile_targets(&suite, &targets, &cfg);
         NasLab {
             opts,
             cfg,
@@ -177,7 +174,7 @@ impl NrLab {
             Arch::atom().scaled(PARK_SCALE),
             Arch::sandy_bridge().scaled(PARK_SCALE),
         ];
-        let runs = profile_targets(&suite, &targets, &cfg, &cfg.pool());
+        let runs = profile_targets(&suite, &targets, &cfg);
         NrLab {
             opts,
             cfg,

@@ -56,18 +56,20 @@ pub struct PipelineConfig {
     /// a stored artifact is bitwise-identical to a recomputation. `None`
     /// (the default) keeps every stage purely in-memory.
     pub store: Option<Arc<Store>>,
-    /// Optional wall-clock budget for the whole pipeline run. Checked by
-    /// the fallible `try_*` stage entry points at stage boundaries (and
-    /// per K inside sweeps); once expired they return
+    /// Optional wall-clock budget for the whole pipeline run. Every
+    /// stage checks it at its boundary ([`PipelineConfig::gate`]), and
+    /// sweeps check it again before each K; once it has expired the
+    /// fallible `try_*` entry points return
     /// [`crate::PipelineError::DeadlineExceeded`] instead of starting
-    /// more work. The infallible entry points ignore it.
+    /// more work. The infallible entry points run with it cleared, so
+    /// they ignore it (the `stage.*` failpoints still fire there).
     pub deadline: Option<fgbs_fault::Deadline>,
     /// The request this run executes on behalf of (0 = none). Stage
-    /// entry points install it as the ambient trace request id
-    /// ([`fgbs_trace::enter_request`]) and attach it to their stage
-    /// spans, so every span, counter and flight-recorder event the run
-    /// emits — including on pool workers — is attributable to the
-    /// originating HTTP request or CLI invocation.
+    /// spans install it as the ambient trace request id
+    /// ([`fgbs_trace::enter_request`]; 0 keeps the caller's) and carry
+    /// it as their `req` arg, so every span, counter and flight-recorder
+    /// event the run emits — including on pool workers — is attributable
+    /// to the originating HTTP request or CLI invocation.
     pub request_id: u64,
 }
 
@@ -152,31 +154,6 @@ impl PipelineConfig {
     pub fn with_request_id(mut self, request_id: u64) -> Self {
         self.request_id = request_id;
         self
-    }
-
-    /// Install this run's request id as the thread's ambient trace
-    /// context. Stage entry points hold the guard for their whole
-    /// scope; the pool re-enters the id on workers. A zero id (the
-    /// default) leaves whatever ambient id the caller installed —
-    /// embedded services set the id at the request boundary rather
-    /// than per config.
-    #[must_use = "the request id is uninstalled when the guard drops"]
-    pub fn enter_request(&self) -> fgbs_trace::RequestGuard {
-        if self.request_id != 0 {
-            fgbs_trace::enter_request(self.request_id)
-        } else {
-            fgbs_trace::enter_request(fgbs_trace::current_request_id())
-        }
-    }
-
-    /// Fail with [`crate::PipelineError::DeadlineExceeded`] when the
-    /// configured deadline (if any) has expired. Stage boundaries call
-    /// this so an over-budget request stops promptly instead of hanging.
-    pub fn check_deadline(&self, stage: &'static str) -> Result<(), crate::PipelineError> {
-        match self.deadline {
-            Some(d) if d.expired() => Err(crate::PipelineError::DeadlineExceeded { stage }),
-            _ => Ok(()),
-        }
     }
 
     /// The shared work pool this configuration prescribes

@@ -1,10 +1,14 @@
 //! Typed pipeline errors for the fallible (`try_*`) stage entry points.
 //!
-//! The infallible entry points ([`crate::profile_reference`],
-//! [`crate::reduce`], [`crate::predict`], [`crate::sweep_k`]) keep their
-//! panic-free, always-compute contract for batch use. Long-running
-//! callers (the serve daemon) use the `try_*` variants instead, which
-//! check the request deadline at stage boundaries and validate numeric
+//! Every stage, fallible or not, crosses one boundary
+//! ([`crate::PipelineConfig::gate`]): a deadline check, the
+//! `stage.<name>` failpoint, a second check. The infallible entry points
+//! ([`crate::profile_reference`], [`crate::reduce_cached`],
+//! [`crate::predict`], [`crate::sweep_k`], [`crate::evaluate_targets`])
+//! cross it with the deadline cleared, so they keep their always-compute
+//! contract for batch use while their failpoints still fire. Long-running
+//! callers (the serve daemon) use the `try_*` twins, which share the same
+//! implementation with the deadline in force and validate numeric
 //! inputs, so a hostile request degrades into a structured error — a 503
 //! or 500 at the HTTP layer — rather than a hang or a worker panic.
 

@@ -16,6 +16,7 @@ use crate::micras::MicroCache;
 use crate::predict::predict_with_runs;
 use crate::profile::{profile_targets, ProfiledSuite};
 use crate::reduce::{reduce_from_distances, wellness};
+use crate::stage;
 
 /// Result of the GA search.
 #[derive(Debug, Clone)]
@@ -68,16 +69,11 @@ pub fn select_features_ga(
     cfg: &PipelineConfig,
 ) -> FeatureSelection {
     assert!(!targets.is_empty(), "need at least one training target");
-    let _request_ctx = cfg.enter_request();
-    let mut stage_span = fgbs_trace::span("stage.featsel");
-    stage_span.arg_u64("targets", targets.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
+    let (_request, mut stage_span) = stage::span(cfg, "stage.featsel", ("targets", targets.len()));
     stage_span.arg_u64("population", ga.population as u64);
     stage_span.arg_u64("generations", ga.generations as u64);
     let cache = MicroCache::new();
-    let runs = profile_targets(suite, targets, cfg, &cfg.pool());
+    let runs = profile_targets(suite, targets, cfg);
 
     let mut ga_cfg = ga.clone();
     ga_cfg.genome_len = N_FEATURES;

@@ -10,7 +10,6 @@
 
 use fgbs_extract::AppRun;
 use fgbs_machine::Arch;
-use fgbs_pool::WorkPool;
 use parking_lot::Mutex;
 
 use crate::appagg::{aggregate_apps, geometric_mean_speedup, AppPrediction};
@@ -20,6 +19,7 @@ use crate::predict::{predict_owning_runs, PredictionOutcome};
 use crate::profile::{profile_targets, ProfiledSuite};
 use crate::reduce::ReducedSuite;
 use crate::reduction::{reduction_factor, ReductionBreakdown};
+use crate::stage;
 
 /// Everything Step E produces for one target machine.
 #[derive(Debug, Clone)]
@@ -38,7 +38,8 @@ pub struct TargetEvaluation {
 
 /// Evaluate the reduced suite on every target, fanned out over the
 /// configured work pool (`cfg.threads` caps the workers). The
-/// microbenchmark cache is shared across threads.
+/// microbenchmark cache is shared across threads. The deadline is
+/// ignored; the `stage.evaluate` failpoint fires.
 pub fn evaluate_targets(
     suite: &ProfiledSuite,
     reduced: &ReducedSuite,
@@ -46,43 +47,30 @@ pub fn evaluate_targets(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> Vec<TargetEvaluation> {
-    evaluate_targets_with(suite, reduced, targets, cache, cfg, &cfg.pool())
-}
-
-/// [`evaluate_targets`] on an explicit pool (shared with other stages).
-pub fn evaluate_targets_with(
-    suite: &ProfiledSuite,
-    reduced: &ReducedSuite,
-    targets: &[Arch],
-    cache: &MicroCache,
-    cfg: &PipelineConfig,
-    pool: &WorkPool,
-) -> Vec<TargetEvaluation> {
-    let _request_ctx = cfg.enter_request();
-    let mut stage_span = fgbs_trace::span("stage.evaluate");
-    stage_span.arg_u64("targets", targets.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
-    // Each target's runs move into its outcome: the slot is emptied by
-    // the one item that owns it, so no run is copied.
-    let runs: Vec<Mutex<Vec<AppRun>>> = profile_targets(suite, targets, cfg, pool)
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
-    pool.map(targets, |t, target| {
-        let runs = std::mem::take(&mut *runs[t].lock());
-        let outcome = predict_owning_runs(suite, reduced, target, runs, cache, cfg);
-        let reduction = reduction_factor(suite, reduced, &outcome, target, cache, cfg);
-        let apps = aggregate_apps(suite, &outcome, target, cfg);
-        let geomean = geometric_mean_speedup(&apps);
-        TargetEvaluation {
-            target: target.name.clone(),
-            outcome,
-            reduction,
-            apps,
-            geomean,
-        }
+    stage::infallible(cfg, |cfg| {
+        cfg.gate("stage.evaluate")?;
+        let (_request, _stage_span) =
+            stage::span(cfg, "stage.evaluate", ("targets", targets.len()));
+        // Each target's runs move into its outcome: the slot is emptied
+        // by the one item that owns it, so no run is copied.
+        let runs: Vec<Mutex<Vec<AppRun>>> = profile_targets(suite, targets, cfg)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        Ok(cfg.pool().map(targets, |t, target| {
+            let runs = std::mem::take(&mut *runs[t].lock());
+            let outcome = predict_owning_runs(suite, reduced, target, runs, cache, cfg);
+            let reduction = reduction_factor(suite, reduced, &outcome, target, cache, cfg);
+            let apps = aggregate_apps(suite, &outcome, target, cfg);
+            let geomean = geometric_mean_speedup(&apps);
+            TargetEvaluation {
+                target: target.name.clone(),
+                outcome,
+                reduction,
+                apps,
+                geomean,
+            }
+        }))
     })
 }
 

@@ -219,6 +219,19 @@ fn get_counters(r: &mut ByteReader<'_>) -> Result<HwCounters, CodecError> {
     })
 }
 
+/// Read a length-prefixed sequence with one `get` per item.
+fn get_seq_of<T>(
+    r: &mut ByteReader<'_>,
+    mut get: impl FnMut(&mut ByteReader<'_>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.get_seq()?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(get(r)?);
+    }
+    Ok(out)
+}
+
 fn put_app_run(w: &mut ByteWriter, run: &AppRun) {
     w.put_str(&run.app);
     w.put_str(&run.arch);
@@ -241,10 +254,8 @@ fn get_app_run(r: &mut ByteReader<'_>) -> Result<AppRun, CodecError> {
     let arch = r.get_str()?;
     let total_cycles = r.get_f64()?;
     let total_seconds = r.get_f64()?;
-    let n = r.get_seq()?;
-    let mut profiles = Vec::with_capacity(n);
-    for _ in 0..n {
-        profiles.push(CodeletProfile {
+    let profiles = get_seq_of(r, |r| {
+        Ok(CodeletProfile {
             codelet: r.get_usize()?,
             name: r.get_str()?,
             invocations: r.get_u64()?,
@@ -252,8 +263,8 @@ fn get_app_run(r: &mut ByteReader<'_>) -> Result<AppRun, CodecError> {
             true_cycles: r.get_f64()?,
             first_invocation_cycles: r.get_f64()?,
             counters: get_counters(r)?,
-        });
-    }
+        })
+    })?;
     Ok(AppRun {
         app,
         arch,
@@ -329,14 +340,8 @@ pub fn decode_profiled_suite(
             "profiled-suite artifact was built from a different application set",
         ));
     }
-    let n_runs = r.get_seq()?;
-    let mut runs = Vec::with_capacity(n_runs);
-    for _ in 0..n_runs {
-        runs.push(get_app_run(&mut r)?);
-    }
-    let n_codelets = r.get_seq()?;
-    let mut codelets = Vec::with_capacity(n_codelets);
-    for _ in 0..n_codelets {
+    let runs = get_seq_of(&mut r, get_app_run)?;
+    let codelets = get_seq_of(&mut r, |r| {
         let app = r.get_usize()?;
         let local = r.get_usize()?;
         let name = r.get_str()?;
@@ -348,15 +353,15 @@ pub fn decode_profiled_suite(
         let micro = Microbenchmark::extract(&apps[app], local).ok_or_else(|| {
             CodecError::new(format!("codelet {name}: microbenchmark no longer extractable"))
         })?;
-        codelets.push(CodeletInfo {
+        Ok(CodeletInfo {
             app,
             local,
             name,
             tref_cycles,
             invocations,
             micro,
-        });
-    }
+        })
+    })?;
     let features = get_feature_matrix(&mut r)?;
     let coverage = r.get_f64()?;
     r.finish()?;
@@ -412,28 +417,16 @@ pub fn encode_reduced_suite(r: &ReducedSuite) -> Vec<u8> {
 /// Reconstruct a reduced suite.
 pub fn decode_reduced_suite(bytes: &[u8]) -> Result<ReducedSuite, CodecError> {
     let mut r = ByteReader::new(bytes);
-    let n_clusters = r.get_seq()?;
-    let mut clusters = Vec::with_capacity(n_clusters);
-    for _ in 0..n_clusters {
-        let members = r.get_usize_vec()?;
-        let representative = r.get_usize()?;
-        clusters.push(Cluster {
-            members,
-            representative,
-        });
-    }
+    let clusters = get_seq_of(&mut r, |r| {
+        Ok(Cluster {
+            members: r.get_usize_vec()?,
+            representative: r.get_usize()?,
+        })
+    })?;
     let k_requested = r.get_usize()?;
-    let n_assign = r.get_seq()?;
-    let mut assignment = Vec::with_capacity(n_assign);
-    for _ in 0..n_assign {
-        assignment.push(r.get_opt_usize()?);
-    }
+    let assignment = get_seq_of(&mut r, |r| r.get_opt_usize())?;
     let ill_behaved = r.get_usize_vec()?;
-    let n_rows = r.get_seq()?;
-    let mut rows = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        rows.push(r.get_f64_vec()?);
-    }
+    let rows = get_seq_of(&mut r, |r| r.get_f64_vec())?;
     if rows.iter().any(|row| row.len() != rows[0].len()) {
         return Err(CodecError::new("ragged observation matrix".to_string()));
     }
@@ -455,13 +448,7 @@ pub fn decode_reduced_suite(bytes: &[u8]) -> Result<ReducedSuite, CodecError> {
         });
     }
     let dendrogram = Dendrogram::new(leaves, merges);
-    let n_curve = r.get_seq()?;
-    let mut within_curve = Vec::with_capacity(n_curve);
-    for _ in 0..n_curve {
-        let k = r.get_usize()?;
-        let v = r.get_f64()?;
-        within_curve.push((k, v));
-    }
+    let within_curve = get_seq_of(&mut r, |r| Ok((r.get_usize()?, r.get_f64()?)))?;
     r.finish()?;
     Ok(ReducedSuite {
         clusters,
@@ -504,10 +491,8 @@ pub fn encode_prediction(p: &PredictionOutcome) -> Vec<u8> {
 pub fn decode_prediction(bytes: &[u8]) -> Result<PredictionOutcome, CodecError> {
     let mut r = ByteReader::new(bytes);
     let target = r.get_str()?;
-    let n = r.get_seq()?;
-    let mut predictions = Vec::with_capacity(n);
-    for _ in 0..n {
-        predictions.push(CodeletPrediction {
+    let predictions = get_seq_of(&mut r, |r| {
+        Ok(CodeletPrediction {
             codelet: r.get_usize()?,
             cluster: r.get_opt_usize()?,
             is_representative: r.get_bool()?,
@@ -515,13 +500,9 @@ pub fn decode_prediction(bytes: &[u8]) -> Result<PredictionOutcome, CodecError> 
             real_seconds: r.get_f64()?,
             ref_seconds: r.get_f64()?,
             error_pct: r.get_opt_f64()?,
-        });
-    }
-    let n_runs = r.get_seq()?;
-    let mut target_runs = Vec::with_capacity(n_runs);
-    for _ in 0..n_runs {
-        target_runs.push(get_app_run(&mut r)?);
-    }
+        })
+    })?;
+    let target_runs = get_seq_of(&mut r, get_app_run)?;
     let rep_seconds = r.get_f64_vec()?;
     r.finish()?;
     Ok(PredictionOutcome {
@@ -557,17 +538,10 @@ pub fn encode_fitness_snapshot(entries: &[(BitGenome, f64)]) -> Vec<u8> {
 /// Reconstruct a fitness-cache snapshot.
 pub fn decode_fitness_snapshot(bytes: &[u8]) -> Result<Vec<(BitGenome, f64)>, CodecError> {
     let mut r = ByteReader::new(bytes);
-    let n = r.get_seq()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let n_bits = r.get_seq()?;
-        let mut bits = Vec::with_capacity(n_bits);
-        for _ in 0..n_bits {
-            bits.push(r.get_bool()?);
-        }
-        let fitness = r.get_f64()?;
-        out.push((BitGenome::from_bits(bits), fitness));
-    }
+    let out = get_seq_of(&mut r, |r| {
+        let bits = get_seq_of(r, |r| r.get_bool())?;
+        Ok((BitGenome::from_bits(bits), r.get_f64()?))
+    })?;
     r.finish()?;
     Ok(out)
 }

@@ -7,11 +7,13 @@
 
 use fgbs_extract::AppRun;
 use fgbs_machine::Arch;
+use fgbs_store::ArtifactKind;
 
 use crate::config::PipelineConfig;
 use crate::micras::MicroCache;
 use crate::profile::{profile_target, ProfiledSuite};
 use crate::reduce::ReducedSuite;
+use crate::stage::{self, Artifact};
 
 /// Per-codelet prediction vs ground truth on one target.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,12 +124,11 @@ pub(crate) fn predict_owning_runs(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
-    let _request_ctx = cfg.enter_request();
-    let mut stage_span = fgbs_trace::span("stage.predict");
-    stage_span.arg_u64("representatives", reduced.clusters.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
+    let (_request, mut stage_span) = stage::span(
+        cfg,
+        "stage.predict",
+        ("representatives", reduced.clusters.len()),
+    );
     stage_span.arg_u64("codelets", suite.len() as u64);
     // Measure each representative's standalone microbenchmark on the
     // target (the only target-side cost of the method).
@@ -197,35 +198,21 @@ pub(crate) fn predict_owning_runs(
 ///
 /// With a store attached ([`PipelineConfig::store`]) the outcome is
 /// looked up first — keyed by the suite, the reduction's content and the
-/// target — and persisted after computing.
+/// target — and persisted after computing. The deadline is ignored; the
+/// `stage.predict` failpoint fires.
 pub fn predict(
     suite: &ProfiledSuite,
     reduced: &ReducedSuite,
     target: &Arch,
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
-    let Some(store) = &cfg.store else {
-        return compute_predict(suite, reduced, target, cfg);
-    };
-    let key = crate::persist::predict_key(suite, reduced, target, cfg);
-    if let Ok(Some(bytes)) = store.get(fgbs_store::ArtifactKind::Predict, &key) {
-        if let Ok(out) = crate::persist::decode_prediction(&bytes) {
-            return out;
-        }
-    }
-    let out = compute_predict(suite, reduced, target, cfg);
-    let _ = store.put(
-        fgbs_store::ArtifactKind::Predict,
-        &key,
-        &crate::persist::encode_prediction(&out),
-    );
-    out
+    stage::infallible(cfg, |cfg| predict_stage(suite, reduced, target, cfg))
 }
 
-/// Deadline- and input-validating [`predict`]: checks the request
-/// budget at the stage boundary (around the `stage.predict` failpoint)
-/// and rejects non-finite reference times with a typed error before
-/// they can poison the prediction ratios.
+/// Deadline- and input-validating [`predict`]: rejects non-finite
+/// reference times with a typed error before they can poison the
+/// prediction ratios, then passes the `stage.predict` gate
+/// ([`PipelineConfig::gate`]).
 ///
 /// `t_pred = t_ref · t_rep / t_ref_rk` divides by each representative's
 /// reference time: a zero or non-finite `t_ref_rk` (a "zero-time
@@ -239,11 +226,28 @@ pub fn try_predict(
     target: &Arch,
     cfg: &PipelineConfig,
 ) -> Result<PredictionOutcome, crate::PipelineError> {
-    cfg.check_deadline("predict")?;
-    fgbs_fault::maybe_delay("stage.predict");
-    cfg.check_deadline("predict")?;
     validate_finite(suite, reduced)?;
-    Ok(predict(suite, reduced, target, cfg))
+    predict_stage(suite, reduced, target, cfg)
+}
+
+/// Step E through the stage boundary: gate, store lookup, and on a miss
+/// the ground-truth runs plus the prediction.
+fn predict_stage(
+    suite: &ProfiledSuite,
+    reduced: &ReducedSuite,
+    target: &Arch,
+    cfg: &PipelineConfig,
+) -> Result<PredictionOutcome, crate::PipelineError> {
+    let artifact = Artifact {
+        kind: ArtifactKind::Predict,
+        key: || crate::persist::predict_key(suite, reduced, target, cfg),
+        encode: crate::persist::encode_prediction,
+        decode: crate::persist::decode_prediction,
+    };
+    stage::run(cfg, "stage.predict", artifact, || {
+        let runs = profile_target(suite, target, cfg);
+        predict_owning_runs(suite, reduced, target, runs, &MicroCache::new(), cfg)
+    })
 }
 
 /// Reject reference times that would make the §3.5 model ill-defined.
@@ -273,17 +277,6 @@ fn validate_finite(
         }
     }
     Ok(())
-}
-
-/// The uncached Step E.
-fn compute_predict(
-    suite: &ProfiledSuite,
-    reduced: &ReducedSuite,
-    target: &Arch,
-    cfg: &PipelineConfig,
-) -> PredictionOutcome {
-    let runs = profile_target(suite, target, cfg);
-    predict_owning_runs(suite, reduced, target, runs, &MicroCache::new(), cfg)
 }
 
 #[cfg(test)]

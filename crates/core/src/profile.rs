@@ -4,9 +4,10 @@ use fgbs_analysis::{dynamic_features, static_features, FeatureMatrix, FeatureVec
 use fgbs_extract::{run_application, AppRun, Application, Microbenchmark};
 use fgbs_isa::{compile, CompileMode};
 use fgbs_machine::Arch;
-use fgbs_pool::WorkPool;
+use fgbs_store::ArtifactKind;
 
 use crate::config::PipelineConfig;
+use crate::stage::{self, Artifact};
 
 /// One detected codelet, fully characterised on the reference
 /// architecture.
@@ -67,47 +68,33 @@ impl ProfiledSuite {
 /// With a store attached ([`PipelineConfig::store`]) the profile is
 /// looked up first and persisted after computing; profiling is
 /// deterministic, so the stored artifact is bitwise-identical to a fresh
-/// run. Store I/O failures fall back to computing.
+/// run. Store I/O failures fall back to computing. The deadline is
+/// ignored; the `stage.profile` failpoint fires.
 pub fn profile_reference(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite {
-    let Some(store) = &cfg.store else {
-        return compute_profile(apps, cfg);
-    };
-    let key = crate::persist::profile_key(apps, cfg);
-    if let Ok(Some(bytes)) = store.get(fgbs_store::ArtifactKind::Profile, &key) {
-        if let Ok(suite) = crate::persist::decode_profiled_suite(&bytes, apps) {
-            return suite;
-        }
-    }
-    let suite = compute_profile(apps, cfg);
-    let _ = store.put(
-        fgbs_store::ArtifactKind::Profile,
-        &key,
-        &crate::persist::encode_profiled_suite(&suite),
-    );
-    suite
+    stage::infallible(cfg, |cfg| try_profile_reference(apps, cfg))
 }
 
-/// Deadline-aware [`profile_reference`]: checks the request budget at
-/// the stage boundary (before and after the `stage.profile` failpoint)
-/// and refuses to start over-budget work.
+/// Deadline-aware [`profile_reference`]: passes the `stage.profile`
+/// gate ([`PipelineConfig::gate`]) and refuses to start over-budget
+/// work.
 pub fn try_profile_reference(
     apps: &[Application],
     cfg: &PipelineConfig,
 ) -> Result<ProfiledSuite, crate::PipelineError> {
-    cfg.check_deadline("profile")?;
-    fgbs_fault::maybe_delay("stage.profile");
-    cfg.check_deadline("profile")?;
-    Ok(profile_reference(apps, cfg))
+    let artifact = Artifact {
+        kind: ArtifactKind::Profile,
+        key: || crate::persist::profile_key(apps, cfg),
+        encode: crate::persist::encode_profiled_suite,
+        decode: |bytes: &[u8]| crate::persist::decode_profiled_suite(bytes, apps),
+    };
+    stage::run(cfg, "stage.profile", artifact, || {
+        compute_profile(apps, cfg)
+    })
 }
 
 /// The uncached Steps A + B.
 fn compute_profile(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite {
-    let _request_ctx = cfg.enter_request();
-    let mut stage_span = fgbs_trace::span("stage.profile");
-    stage_span.arg_u64("apps", apps.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
+    let (_request, mut stage_span) = stage::span(cfg, "stage.profile", ("apps", apps.len()));
     let arch = &cfg.reference;
     // One item per application: each seed derives from the app's index,
     // so the runs are the same at any thread count.
@@ -168,23 +155,23 @@ fn compute_profile(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite 
 /// (this is exactly what the reduced suite is meant to replace). The
 /// applications fan out over the configured work pool.
 pub fn profile_target(suite: &ProfiledSuite, target: &Arch, cfg: &PipelineConfig) -> Vec<AppRun> {
-    let mut runs = profile_targets(suite, std::slice::from_ref(target), cfg, &cfg.pool());
+    let mut runs = profile_targets(suite, std::slice::from_ref(target), cfg);
     runs.pop().expect("one run list per target")
 }
 
 /// [`profile_target`] for several targets as one flat map over
-/// `targets × apps` on `pool`, so a few targets still fill every worker.
-/// Returns one run list per target, in target order. Application `i`'s
-/// seed depends on `i` alone, so the runs are the same at any thread
-/// count.
+/// `targets × apps` on the configured work pool, so a few targets still
+/// fill every worker. Returns one run list per target, in target order.
+/// Application `i`'s seed depends on `i` alone, so the runs are the
+/// same at any thread count.
 pub fn profile_targets(
     suite: &ProfiledSuite,
     targets: &[Arch],
     cfg: &PipelineConfig,
-    pool: &WorkPool,
 ) -> Vec<Vec<AppRun>> {
     let n = suite.apps.len();
-    let mut runs = pool
+    let mut runs = cfg
+        .pool()
         .map_indexed(targets.len() * n, |k| {
             let (target, i) = (&targets[k / n], k % n);
             let app = &suite.apps[i];

@@ -6,10 +6,12 @@ use fgbs_clustering::{
 };
 use fgbs_extract::behaves_well;
 use fgbs_matrix::{kernel, Matrix};
+use fgbs_store::ArtifactKind;
 
 use crate::config::{KChoice, PipelineConfig};
 use crate::micras::MicroCache;
 use crate::profile::ProfiledSuite;
+use crate::stage::{self, Artifact};
 
 /// One cluster of codelets with its chosen representative.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +150,8 @@ pub fn reduce(suite: &ProfiledSuite, cfg: &PipelineConfig) -> ReducedSuite {
 ///
 /// With a store attached ([`PipelineConfig::store`]) the reduction is
 /// looked up first and persisted after computing (store hits skip the
-/// wellness measurements entirely, so the micro cache stays cold).
+/// wellness measurements entirely, so the micro cache stays cold). The
+/// deadline is ignored; the `stage.reduce` failpoint fires.
 ///
 /// # Panics
 ///
@@ -158,43 +161,30 @@ pub fn reduce_cached(
     cfg: &PipelineConfig,
     cache: &MicroCache,
 ) -> ReducedSuite {
-    assert!(!cfg.features.is_empty(), "feature mask selects no features");
-    let Some(store) = &cfg.store else {
-        return compute_reduce(suite, cfg, cache);
-    };
-    let key = crate::persist::reduce_key(suite, cfg);
-    if let Ok(Some(bytes)) = store.get(fgbs_store::ArtifactKind::Reduce, &key) {
-        if let Ok(reduced) = crate::persist::decode_reduced_suite(&bytes) {
-            return reduced;
-        }
-    }
-    let reduced = compute_reduce(suite, cfg, cache);
-    let _ = store.put(
-        fgbs_store::ArtifactKind::Reduce,
-        &key,
-        &crate::persist::encode_reduced_suite(&reduced),
-    );
-    reduced
+    stage::infallible(cfg, |cfg| try_reduce_cached(suite, cfg, cache))
 }
 
-/// Deadline-aware [`reduce_cached`]: checks the request budget at the
-/// stage boundary (around the `stage.reduce` failpoint) and refuses to
-/// start over-budget work.
+/// Deadline-aware [`reduce_cached`]: passes the `stage.reduce` gate
+/// ([`PipelineConfig::gate`]) and refuses to start over-budget work.
+///
+/// # Panics
+///
+/// Panics when the suite is empty or the feature mask selects nothing.
 pub fn try_reduce_cached(
     suite: &ProfiledSuite,
     cfg: &PipelineConfig,
     cache: &MicroCache,
 ) -> Result<ReducedSuite, crate::PipelineError> {
-    cfg.check_deadline("reduce")?;
-    fgbs_fault::maybe_delay("stage.reduce");
-    cfg.check_deadline("reduce")?;
-    Ok(reduce_cached(suite, cfg, cache))
-}
-
-/// The uncached Steps C + D over the masked feature matrix.
-fn compute_reduce(suite: &ProfiledSuite, cfg: &PipelineConfig, cache: &MicroCache) -> ReducedSuite {
-    let raw = suite.features.project(&cfg.features);
-    reduce_with_observations(suite, cfg, cache, &raw)
+    assert!(!cfg.features.is_empty(), "feature mask selects no features");
+    let artifact = Artifact {
+        kind: ArtifactKind::Reduce,
+        key: || crate::persist::reduce_key(suite, cfg),
+        encode: crate::persist::encode_reduced_suite,
+        decode: crate::persist::decode_reduced_suite,
+    };
+    stage::run(cfg, "stage.reduce", artifact, || {
+        reduce_with_observations(suite, cfg, cache, &suite.features.project(&cfg.features))
+    })
 }
 
 /// Run Steps C + D over an arbitrary observation matrix (one row per
@@ -213,12 +203,7 @@ pub fn reduce_with_observations(
     assert!(!suite.is_empty(), "cannot reduce an empty suite");
     assert_eq!(raw.nrows(), suite.len(), "one observation row per codelet");
 
-    let _request_ctx = cfg.enter_request();
-    let mut stage_span = fgbs_trace::span("stage.reduce");
-    stage_span.arg_u64("codelets", suite.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
+    let (_request, mut stage_span) = stage::span(cfg, "stage.reduce", ("codelets", suite.len()));
 
     let data = normalize(raw);
     let dist = DistanceMatrix::euclidean_with(&data, &cfg.pool());

@@ -13,6 +13,7 @@ use crate::predict::predict_with_runs;
 use crate::profile::{profile_target, ProfiledSuite};
 use crate::reduce::{reduce_cached, select_representatives, wellness, ReducedSuite};
 use crate::reduction::reduction_factor;
+use crate::stage;
 
 /// One point of the error/reduction trade-off curve.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,16 +38,14 @@ pub fn sweep_k(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> Vec<SweepPoint> {
-    let mut free = cfg.clone();
-    free.deadline = None;
-    try_sweep_k(suite, target, k_max, cache, &free)
-        .expect("sweep without a deadline is infallible")
+    stage::infallible(cfg, |cfg| try_sweep_k(suite, target, k_max, cache, cfg))
 }
 
-/// Deadline-aware [`sweep_k`]: the budget is checked before every K (a
-/// sweep is the longest-running request the serve daemon exposes), so an
-/// expired request stops between cluster counts instead of finishing the
-/// whole curve.
+/// Deadline-aware [`sweep_k`]: passes the `stage.sweep` gate
+/// ([`PipelineConfig::gate`]), then checks the budget again before every
+/// K (a sweep is the longest-running request the serve daemon exposes),
+/// so an expired request stops between cluster counts instead of
+/// finishing the whole curve.
 pub fn try_sweep_k(
     suite: &ProfiledSuite,
     target: &Arch,
@@ -54,14 +53,8 @@ pub fn try_sweep_k(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> Result<Vec<SweepPoint>, crate::PipelineError> {
-    let _request_ctx = cfg.enter_request();
-    let mut stage_span = fgbs_trace::span("stage.sweep");
-    stage_span.arg_u64("k_max", k_max as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
-    cfg.check_deadline("sweep")?;
-    fgbs_fault::maybe_delay("stage.sweep");
+    cfg.gate("stage.sweep")?;
+    let (_request, _stage_span) = stage::span(cfg, "stage.sweep", ("k_max", k_max));
     let runs: Vec<AppRun> = profile_target(suite, target, cfg);
     (1..=k_max.min(suite.len()))
         .map(|k| {

@@ -444,6 +444,21 @@ impl Arch {
             .collect()
     }
 
+    /// The park machine called `name`, case-insensitively, at
+    /// experiment scale: `atom`, `core2` (`core-2`, `core 2`), `sb`
+    /// (`sandybridge`, `sandy-bridge`) or `nehalem` (`ref`). The one
+    /// target-name table the CLI and the daemon share.
+    pub fn scaled_by_name(name: &str) -> Option<Arch> {
+        let arch = match name.to_ascii_lowercase().as_str() {
+            "atom" => Arch::atom(),
+            "core2" | "core-2" | "core 2" => Arch::core2(),
+            "sb" | "sandybridge" | "sandy-bridge" => Arch::sandy_bridge(),
+            "nehalem" | "ref" => Arch::nehalem(),
+            _ => return None,
+        };
+        Some(arch.scaled(PARK_SCALE))
+    }
+
     /// The full park at experiment scale, reference first.
     pub fn park_scaled() -> Vec<Arch> {
         Arch::table1()
@@ -552,6 +567,23 @@ mod scaled_tests {
         }
         assert_eq!(full.freq_ghz, s.freq_ghz);
         assert_eq!(full.memory, s.memory);
+    }
+
+    #[test]
+    fn park_names_resolve_case_insensitively_at_scale() {
+        let cases = [
+            ("ATOM", "Atom"),
+            ("core 2", "Core 2"),
+            ("Sandy-Bridge", "Sandy Bridge"),
+            ("ref", "Nehalem"),
+        ];
+        for (name, want) in cases {
+            let arch = Arch::scaled_by_name(name).expect(name);
+            assert_eq!(arch.name, want);
+            let full = Arch::table1().into_iter().find(|a| a.name == want).unwrap();
+            assert_eq!(arch.caches[0].size, full.caches[0].size / PARK_SCALE);
+        }
+        assert!(Arch::scaled_by_name("vax").is_none());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::io::{self, Read, Write};
 use std::time::Instant;
 
 use crate::http::{self, Request, Response};
-use crate::{LoopOptions, ServeOptions};
+use crate::ServeOptions;
 
 /// Where a connection is in its request/response cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,14 +66,13 @@ pub(crate) struct Conn<S> {
     poisoned: bool,
     read_deadline: Option<Instant>,
     write_deadline: Option<Instant>,
+    /// Timeouts, the body limit and the request budget
+    /// ([`ServeOptions::max_requests_per_conn`]).
     opts: ServeOptions,
-    /// How many responses this connection may carry before the server
-    /// closes it ([`LoopOptions::max_requests_per_conn`]).
-    budget: u32,
 }
 
 impl<S: Read + Write> Conn<S> {
-    pub(crate) fn new(stream: S, now: Instant, opts: ServeOptions, tuning: LoopOptions) -> Conn<S> {
+    pub(crate) fn new(stream: S, now: Instant, opts: ServeOptions) -> Conn<S> {
         Conn {
             stream,
             inbuf: Vec::new(),
@@ -89,7 +88,6 @@ impl<S: Read + Write> Conn<S> {
             read_deadline: Some(now + opts.read_timeout),
             write_deadline: None,
             opts,
-            budget: tuning.max_requests_per_conn.max(1),
         }
     }
 
@@ -208,7 +206,7 @@ impl<S: Read + Write> Conn<S> {
         let keep = !self.close_requested
             && !self.eof
             && !self.poisoned
-            && self.served + 1 < self.budget;
+            && self.served + 1 < self.opts.max_requests_per_conn.max(1);
         self.queue_response(response, now, !keep);
     }
 
@@ -360,7 +358,7 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
 
         let step = conn.on_readable(now);
         let Step::Dispatch(req) = step else {
@@ -385,7 +383,7 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -403,7 +401,7 @@ mod tests {
         mock.readable.push_back(
             b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n".to_vec(),
         );
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(req) = conn.on_readable(now) else {
             panic!("expected first dispatch");
         };
@@ -420,14 +418,14 @@ mod tests {
     #[test]
     fn budget_exhaustion_closes_with_the_last_response() {
         let now = Instant::now();
-        let tuning = LoopOptions {
+        let opts = ServeOptions {
             max_requests_per_conn: 1,
-            ..LoopOptions::default()
+            ..opts()
         };
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), tuning);
+        let mut conn = Conn::new(mock, now, opts);
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -444,7 +442,7 @@ mod tests {
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\n\r\n".to_vec());
         mock.write_cap = Some(10); // stall after 10 bytes of the frame
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -482,7 +480,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut conn = Conn::new(Broken(0), now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(Broken(0), now, opts());
         conn.state = State::Dispatched;
         conn.on_response(Response::json(&crate::Json::Bool(true)), now);
         assert!(matches!(conn.on_writable(now), Step::Close));
@@ -494,7 +492,7 @@ mod tests {
         let now = Instant::now();
         let mut mock = Mock::default();
         mock.readable.push_back(b"GET /health HT".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Wait));
         assert!(matches!(conn.on_tick(now + Duration::from_millis(50)), Step::Wait));
         // Past the read deadline with a partial frame: tell the client.
@@ -512,7 +510,7 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -530,7 +528,7 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable.push_back(b"GET /health HT".to_vec());
         mock.eof_after_reads = true;
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Wait));
         assert_eq!(conn.state(), State::Writing);
         assert!(matches!(conn.on_writable(now), Step::Close));
@@ -546,7 +544,7 @@ mod tests {
             eof_after_reads: true,
             ..Mock::default()
         };
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Close));
         assert!(conn.stream().wrote.is_empty());
     }
@@ -558,7 +556,7 @@ mod tests {
         mock.readable.push_back(
             b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!".to_vec(),
         );
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Wait));
         assert!(matches!(conn.on_writable(now), Step::Close));
         let text = String::from_utf8(conn.stream().wrote.clone()).unwrap();

@@ -38,7 +38,7 @@ use parking_lot::Mutex;
 
 use crate::conn::{Conn, State, Step};
 use crate::http::{Request, Response};
-use crate::{guarded_handle, LoopOptions, ServeOptions, Service};
+use crate::{guarded_handle, ServeOptions, Service};
 
 const LISTENER_TOKEN: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -58,7 +58,6 @@ pub(crate) fn spawn(
     threads: usize,
     service: Arc<Service>,
     opts: ServeOptions,
-    tuning: LoopOptions,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<Handle> {
     let poller = Poller::new()?;
@@ -77,7 +76,6 @@ pub(crate) fn spawn(
         waker: waker.clone(),
         service,
         opts,
-        tuning,
         shutdown,
     };
     let thread = std::thread::Builder::new()
@@ -106,7 +104,6 @@ struct Loop {
     waker: Waker,
     service: Arc<Service>,
     opts: ServeOptions,
-    tuning: LoopOptions,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -157,7 +154,7 @@ impl Loop {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            if let Some(bytes) = self.tuning.sndbuf {
+            if let Some(bytes) = self.opts.sndbuf {
                 let _ = fgbs_reactor::set_send_buffer(stream.as_raw_fd(), bytes);
             }
             let token = self.next_token;
@@ -172,7 +169,7 @@ impl Loop {
             self.conns.insert(
                 token,
                 Registered {
-                    conn: Conn::new(stream, now, self.opts, self.tuning),
+                    conn: Conn::new(stream, now, self.opts),
                     interest: Interest::READABLE,
                 },
             );

@@ -149,17 +149,6 @@ pub fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Read and parse one request from `stream` with the default body
-/// limit. Convenience wrapper over [`read_request_limited`] collapsing
-/// the typed error back into `io::Error` for callers that don't pick
-/// status codes.
-pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
-    read_request_limited(stream, DEFAULT_MAX_BODY).map_err(|e| match e {
-        RequestError::Io(err) => err,
-        too_large => io::Error::new(io::ErrorKind::InvalidData, too_large.to_string()),
-    })
-}
-
 /// Read and parse one request from `stream`, rejecting bodies larger
 /// than `max_body` bytes with [`RequestError::TooLarge`] (HTTP 413).
 pub fn read_request_limited(
@@ -459,7 +448,7 @@ mod tests {
     #[test]
     fn parses_get_with_query() {
         let raw = b"GET /predict?suite=nr&target=atom&k=8 HTTP/1.1\r\nHost: x\r\n\r\n";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read_request_limited(&mut &raw[..], DEFAULT_MAX_BODY).unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/predict");
         assert_eq!(req.param("suite"), Some("nr"));
@@ -471,7 +460,7 @@ mod tests {
     #[test]
     fn parses_post_with_body() {
         let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = read_request_limited(&mut &raw[..], DEFAULT_MAX_BODY).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"hello");
     }
@@ -487,9 +476,9 @@ mod tests {
     #[test]
     fn truncated_requests_error() {
         let raw = b"GET /x HTTP/1.1\r\nConten";
-        assert!(read_request(&mut &raw[..]).is_err());
+        assert!(read_request_limited(&mut &raw[..], DEFAULT_MAX_BODY).is_err());
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(read_request(&mut &raw[..]).is_err());
+        assert!(read_request_limited(&mut &raw[..], DEFAULT_MAX_BODY).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! machines: HTTP/1.1 keep-alive and pipelining, per-connection request
 //! budgets, and admission-controlled load shedding; every request runs
 //! as its own job on the process-wide [`fgbs_pool::WorkPool`]. Elsewhere
-//! (or with [`LoopOptions::event_loop`] off) it falls back to a blocking
+//! (or with [`ServeOptions::event_loop`] off) it falls back to a blocking
 //! accept loop submitting one job per one-shot connection to the same
 //! pool. Either way, shutdown waits until every request already
 //! dispatched has been answered. Endpoints:
@@ -58,15 +58,17 @@ mod service;
 
 pub use fgbs_trace::Json;
 pub use http::{
-    parse_query, read_request, read_request_limited, try_parse, Parsed, Request, RequestError,
-    Response, DEFAULT_MAX_BODY,
+    parse_query, read_request_limited, try_parse, Parsed, Request, RequestError, Response,
+    DEFAULT_MAX_BODY,
 };
 pub use metrics::{Metrics, N_BUCKETS, SERIES};
 pub use service::{install_diagnostic_sink, Service};
 
-/// Tunable per-connection behaviour: socket timeouts and request-size
-/// limits. [`Server::start`] uses [`ServeOptions::default`]; tests and
-/// hardened deployments pass their own via [`Server::start_with`].
+/// Tunable server behaviour: socket timeouts, request-size limits and
+/// event-loop tuning. [`Server::start`] uses [`ServeOptions::default`];
+/// tests and hardened deployments pass their own via
+/// [`Server::start_with`], overriding fields over
+/// `..ServeOptions::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
     /// How long a connection worker waits for request bytes before
@@ -78,24 +80,6 @@ pub struct ServeOptions {
     pub write_timeout: Duration,
     /// Largest accepted request body; larger declared bodies get `413`.
     pub max_body: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_body: DEFAULT_MAX_BODY,
-        }
-    }
-}
-
-/// Event-loop tuning, kept separate from [`ServeOptions`] so that
-/// struct stays literally constructible in existing callers. Defaults
-/// apply under [`Server::start`] and [`Server::start_with`]; pass your
-/// own via [`Server::start_tuned`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoopOptions {
     /// Use the readiness-driven event loop (keep-alive, pipelining,
     /// admission control) when the platform supports it;
     /// `false` forces the blocking one-request-per-connection path.
@@ -110,9 +94,12 @@ pub struct LoopOptions {
     pub sndbuf: Option<usize>,
 }
 
-impl Default for LoopOptions {
-    fn default() -> LoopOptions {
-        LoopOptions {
+impl Default for ServeOptions {
+    fn default() -> ServeOptions {
+        ServeOptions {
+            read_timeout: Duration::from_secs(10),
+            write_timeout: Duration::from_secs(10),
+            max_body: DEFAULT_MAX_BODY,
             event_loop: true,
             max_requests_per_conn: 256,
             sndbuf: None,
@@ -143,45 +130,30 @@ impl Server {
         Server::start_with(addr, threads, service, ServeOptions::default())
     }
 
-    /// [`Server::start`] with explicit timeouts and request limits and
-    /// default [`LoopOptions`].
+    /// [`Server::start`] with explicit options.
+    ///
+    /// Prefers the event-driven loop (epoll reactor); where that is
+    /// unsupported — or disabled via [`ServeOptions::event_loop`] — it
+    /// falls back to a blocking accept loop with a non-blocking
+    /// listener polled against the shutdown flag.
     pub fn start_with(
         addr: &str,
         threads: usize,
         service: Arc<Service>,
         opts: ServeOptions,
     ) -> io::Result<Server> {
-        Server::start_tuned(addr, threads, service, opts, LoopOptions::default())
-    }
-
-    /// [`Server::start_with`] plus explicit event-loop tuning.
-    ///
-    /// Prefers the event-driven loop (epoll reactor); where that is
-    /// unsupported — or disabled via [`LoopOptions::event_loop`] — it
-    /// falls back to a blocking accept loop with a non-blocking
-    /// listener polled against the shutdown flag.
-    pub fn start_tuned(
-        addr: &str,
-        threads: usize,
-        service: Arc<Service>,
-        opts: ServeOptions,
-        tuning: LoopOptions,
-    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        #[cfg(not(target_os = "linux"))]
-        let _ = tuning;
 
         #[cfg(target_os = "linux")]
-        if tuning.event_loop {
+        if opts.event_loop {
             if let Ok(dup) = listener.try_clone() {
                 if let Ok(handle) = event::spawn(
                     dup,
                     threads,
                     Arc::clone(&service),
                     opts,
-                    tuning,
                     Arc::clone(&shutdown),
                 ) {
                     return Ok(Server {

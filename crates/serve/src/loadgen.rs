@@ -292,7 +292,7 @@ pub fn read_response(stream: &mut impl Read, residue: &mut Vec<u8>) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LoopOptions, ServeOptions, Server, Service};
+    use crate::{ServeOptions, Server, Service};
     use fgbs_core::PipelineConfig;
     use fgbs_store::Store;
     use std::sync::Arc;
@@ -303,11 +303,11 @@ mod tests {
             PipelineConfig::default().with_threads(1),
             store,
         ));
-        let tuning = LoopOptions {
+        let opts = ServeOptions {
             event_loop,
-            ..LoopOptions::default()
+            ..ServeOptions::default()
         };
-        Server::start_tuned("127.0.0.1:0", 2, service, ServeOptions::default(), tuning).unwrap()
+        Server::start_with("127.0.0.1:0", 2, service, opts).unwrap()
     }
 
     #[test]

@@ -28,8 +28,8 @@ use fgbs_core::{
     PipelineConfig, PipelineError, ProfiledSuite,
 };
 use fgbs_fault::Deadline;
-use fgbs_machine::{Arch, PARK_SCALE};
-use fgbs_extract::ApplicationBuilder;
+use fgbs_machine::Arch;
+use fgbs_extract::{Application, ApplicationBuilder};
 use fgbs_snippet::{ingest_pack, load_pack, Pack, RegistryError};
 use fgbs_store::{ArtifactKind, SingleFlight, StableHasher, Store};
 use fgbs_suites::{bigdata_suite, nas_suite, nr_suite, Class};
@@ -39,19 +39,21 @@ use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use fgbs_trace::Json;
 
-/// Resolved suite parameters (canonical names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Resolved suite parameters: canonical names and the suite builder.
+#[derive(Clone, Copy)]
 struct SuiteSpec {
     kind: &'static str,
     class_name: &'static str,
     class: Class,
+    apps: fn(Class) -> Vec<Application>,
 }
 
 fn resolve_suite(req: &Request) -> Result<SuiteSpec, Response> {
-    let kind = match req.param_or("suite", "nr").to_ascii_lowercase().as_str() {
-        "nr" => "nr",
-        "nas" => "nas",
-        "bigdata" => "bigdata",
+    let suite = req.param_or("suite", "nr").to_ascii_lowercase();
+    let (kind, apps): (_, fn(Class) -> Vec<Application>) = match suite.as_str() {
+        "nr" => ("nr", nr_suite),
+        "nas" => ("nas", nas_suite),
+        "bigdata" => ("bigdata", bigdata_suite),
         other => {
             return Err(Response::error(
                 400,
@@ -59,39 +61,26 @@ fn resolve_suite(req: &Request) -> Result<SuiteSpec, Response> {
             ));
         }
     };
-    let (class_name, class) = match req.param_or("class", "test").to_ascii_lowercase().as_str() {
-        "test" => ("test", Class::Test),
-        "a" => ("a", Class::A),
-        "b" => ("b", Class::B),
-        other => {
-            return Err(Response::error(
-                400,
-                &format!("unknown class `{other}` (test|a|b)"),
-            ));
-        }
-    };
+    let name = req.param_or("class", "test").to_ascii_lowercase();
+    let class = Class::from_name(&name)
+        .ok_or_else(|| Response::error(400, &format!("unknown class `{name}` (test|a|b)")))?;
     Ok(SuiteSpec {
         kind,
-        class_name,
+        class_name: class.name(),
         class,
+        apps,
     })
 }
 
 fn resolve_target(req: &Request) -> Result<Arch, Response> {
     let name = req.param_or("target", "atom");
-    let arch = match name.to_ascii_lowercase().as_str() {
-        "atom" => Arch::atom(),
-        "core2" | "core-2" | "core 2" => Arch::core2(),
-        "sb" | "sandybridge" | "sandy-bridge" => Arch::sandy_bridge(),
-        "nehalem" | "ref" => Arch::nehalem(),
-        other => {
-            return Err(Response::error(
-                400,
-                &format!("unknown target `{other}` (atom|core2|sb|nehalem)"),
-            ));
-        }
-    };
-    Ok(arch.scaled(PARK_SCALE))
+    Arch::scaled_by_name(name).ok_or_else(|| {
+        let name = name.to_ascii_lowercase();
+        Response::error(
+            400,
+            &format!("unknown target `{name}` (atom|core2|sb|nehalem)"),
+        )
+    })
 }
 
 /// Resolve `k` to a canonical `(KChoice, label)` pair.
@@ -186,7 +175,7 @@ fn parse_usize_param(req: &Request, name: &str, default: usize) -> Result<usize,
 /// regrouped by their originating application (preserving pack order),
 /// and each invocation context is scheduled once — replaying the
 /// extraction-time invocation profile the pack recorded.
-fn pack_applications(pack: &Pack) -> Vec<fgbs_extract::Application> {
+fn pack_applications(pack: &Pack) -> Vec<Application> {
     let mut order: Vec<&str> = Vec::new();
     for s in &pack.snippets {
         if !order.contains(&s.codelet.app.as_str()) {
@@ -432,13 +421,10 @@ impl Service {
     /// The pipeline configuration for the current request: its id, and
     /// its deadline if it carries one.
     fn request_cfg(&self, deadline: Option<Deadline>) -> PipelineConfig {
-        let cfg = self
-            .cfg
-            .clone()
-            .with_request_id(fgbs_trace::current_request_id());
-        match deadline {
-            Some(d) => cfg.with_deadline(d),
-            None => cfg,
+        PipelineConfig {
+            deadline: deadline.or(self.cfg.deadline),
+            request_id: fgbs_trace::current_request_id(),
+            ..self.cfg.clone()
         }
     }
 
@@ -457,34 +443,34 @@ impl Service {
 
     /// The profiled suite for a spec, memoised in memory for the
     /// process's lifetime and store-backed across processes.
-    fn profiled(&self, spec: SuiteSpec) -> Arc<ProfiledSuite> {
+    fn profiled(
+        &self,
+        spec: SuiteSpec,
+        deadline: Option<Deadline>,
+    ) -> Result<Arc<ProfiledSuite>, Response> {
         let memo_key = format!("{}/{}", spec.kind, spec.class_name);
-        self.profiled_memo(memo_key, || match spec.kind {
-            "nr" => nr_suite(spec.class),
-            "bigdata" => bigdata_suite(spec.class),
-            _ => nas_suite(spec.class),
-        })
+        self.profiled_memo(memo_key, deadline, || (spec.apps)(spec.class))
     }
 
-    /// The profiled suite of an ingested snippet pack, memoised like the
-    /// first-party suites (keyed by the pack's content-addressed id, so
-    /// a re-uploaded edit profiles afresh under its new id).
-    fn profiled_snippet(&self, id: &str, pack: &Pack) -> Arc<ProfiledSuite> {
-        self.profiled_memo(format!("snippet/{id}"), || pack_applications(pack))
-    }
-
-    /// Profile `apps()` once per `memo_key`. Concurrent cold requests for
-    /// one suite, through any endpoint, share a single flight; the
-    /// leader re-checks the memo, so a caller that missed it just before
-    /// a flight finished does not profile again.
+    /// Profile `apps()` once per `memo_key`. On a memo miss the request
+    /// first passes the `stage.profile` gate under its own deadline, in
+    /// its own thread, so an over-budget request answers `503` at
+    /// `profile` and never waits on a flight. Concurrent cold requests
+    /// for one suite, through any endpoint, then share a single flight;
+    /// the leader re-checks the memo, so a caller that missed it just
+    /// before a flight finished does not profile again. A budget spent
+    /// on the profile is lost at `profile`; the suite stays memoised.
     fn profiled_memo(
         &self,
         memo_key: String,
-        apps: impl FnOnce() -> Vec<fgbs_extract::Application>,
-    ) -> Arc<ProfiledSuite> {
+        deadline: Option<Deadline>,
+        apps: impl FnOnce() -> Vec<Application>,
+    ) -> Result<Arc<ProfiledSuite>, Response> {
         if let Some(p) = self.profiles.lock().get(&memo_key) {
-            return Arc::clone(p);
+            return Ok(Arc::clone(p));
         }
+        let cfg = self.request_cfg(deadline);
+        cfg.gate("stage.profile").map_err(pipeline_error)?;
         let (suite, _) = self.profiling.run(&memo_key, || {
             if let Some(p) = self.profiles.lock().get(&memo_key) {
                 return Arc::clone(p);
@@ -498,7 +484,8 @@ impl Service {
                 .insert(memo_key.clone(), Arc::clone(&suite));
             suite
         });
-        suite
+        cfg.check_deadline("profile").map_err(pipeline_error)?;
+        Ok(suite)
     }
 
     /// `POST /snippets`: validate-then-publish a submitted pack frame.
@@ -562,7 +549,10 @@ impl Service {
         };
         let key = self.response_key("predict-snippet", &[id, &target.name, &k.1]);
         Ok(self.respond_cached(&key, deadline, || {
-            let suite = self.profiled_snippet(id, &pack);
+            // Keyed by the pack's content-addressed id: a re-uploaded
+            // edit profiles afresh under its new id.
+            let memo_key = format!("snippet/{id}");
+            let suite = self.profiled_memo(memo_key, deadline, || pack_applications(&pack))?;
             let head = vec![
                 ("snippet", Json::str(id)),
                 ("suite", Json::str(&pack.provenance.suite)),
@@ -585,7 +575,7 @@ impl Service {
             &[spec.kind, spec.class_name, &target.name, &k.1],
         );
         Ok(self.respond_cached(&key, deadline, || {
-            let suite = self.profiled(spec);
+            let suite = self.profiled(spec, deadline)?;
             let head = vec![
                 ("suite", Json::str(spec.kind)),
                 ("class", Json::str(spec.class_name)),
@@ -681,7 +671,7 @@ impl Service {
             ],
         );
         Ok(self.respond_cached(&key, deadline, || {
-            let suite = self.profiled(spec);
+            let suite = self.profiled(spec, deadline)?;
             let cache = MicroCache::new();
             let cfg = self.request_cfg(deadline);
             let points =
@@ -715,7 +705,7 @@ impl Service {
         let deadline = resolve_deadline(req)?;
         let key = self.response_key("reduce", &[spec.kind, spec.class_name, &k_label]);
         Ok(self.respond_cached(&key, deadline, || {
-            let suite = self.profiled(spec);
+            let suite = self.profiled(spec, deadline)?;
             let cfg = self.request_cfg(deadline).with_k(k);
             let reduced = self.stage("stage.reduce", || {
                 try_reduce_cached(&suite, &cfg, &MicroCache::new())

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use fgbs_core::PipelineConfig;
 use fgbs_fault::{FaultAction, FaultPlan};
 use fgbs_serve::loadgen::{read_response, ClientResponse};
-use fgbs_serve::{LoopOptions, ServeOptions, Server, Service};
+use fgbs_serve::{ServeOptions, Server, Service};
 use fgbs_store::Store;
 use proptest::prelude::*;
 
@@ -37,14 +37,13 @@ struct Harness {
 }
 
 impl Harness {
-    fn start(opts: ServeOptions, tuning: LoopOptions, tag: &str) -> Harness {
+    fn start(opts: ServeOptions, tag: &str) -> Harness {
         let dir = std::env::temp_dir().join(format!("fgbs-keepalive-{tag}-{}", std::process::id()));
         let store = Arc::new(Store::open(&dir).expect("open store"));
         // `fast()` keeps the one test that actually runs the pipeline
         // (`/predict` byte-identity) under a second.
         let service = Arc::new(Service::new(PipelineConfig::fast().with_threads(1), store));
-        let server =
-            Server::start_tuned("127.0.0.1:0", 2, service, opts, tuning).expect("start server");
+        let server = Server::start_with("127.0.0.1:0", 2, service, opts).expect("start server");
         Harness {
             server: Some(server),
             dir,
@@ -95,7 +94,7 @@ fn pipeline(stream: &mut TcpStream, targets: &[&str]) {
 
 #[test]
 fn pipelined_requests_answer_in_order_with_increasing_ids() {
-    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "order");
+    let harness = Harness::start(ServeOptions::default(), "order");
     let mut stream = harness.connect();
 
     // A fixed status pattern: the only way the assertion below holds is
@@ -129,7 +128,7 @@ fn pipelined_requests_answer_in_order_with_increasing_ids() {
 
 #[test]
 fn connection_close_header_is_honored() {
-    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "close");
+    let harness = Harness::start(ServeOptions::default(), "close");
     let mut stream = harness.connect();
     write!(
         stream,
@@ -152,11 +151,11 @@ fn connection_close_header_is_honored() {
 
 #[test]
 fn request_budget_closes_the_connection_after_the_last_response() {
-    let tuning = LoopOptions {
+    let opts = ServeOptions {
         max_requests_per_conn: 2,
-        ..LoopOptions::default()
+        ..ServeOptions::default()
     };
-    let harness = Harness::start(ServeOptions::default(), tuning, "budget");
+    let harness = Harness::start(opts, "budget");
     let mut stream = harness.connect();
     pipeline(&mut stream, &["/health", "/health", "/health"]);
 
@@ -177,7 +176,7 @@ fn request_budget_closes_the_connection_after_the_last_response() {
 
 #[test]
 fn predict_bodies_are_byte_identical_across_connection_reuse() {
-    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "predict");
+    let harness = Harness::start(ServeOptions::default(), "predict");
     let target = "/predict?suite=nr&class=test&k=3&target=atom";
 
     // Reference: the one-request-per-connection gait.
@@ -221,14 +220,11 @@ fn client_that_stops_reading_is_poisoned_not_waited_on() {
     // buffering.
     let opts = ServeOptions {
         write_timeout: Duration::from_millis(250),
-        ..ServeOptions::default()
-    };
-    let tuning = LoopOptions {
         sndbuf: Some(4096),
         max_requests_per_conn: 1_000_000,
-        ..LoopOptions::default()
+        ..ServeOptions::default()
     };
-    let harness = Harness::start(opts, tuning, "stall");
+    let harness = Harness::start(opts, "stall");
     let mut stream = harness.connect();
     // Shrink the client's receive window too, so in-flight capacity is
     // bounded by kilobytes on both sides.
@@ -304,13 +300,12 @@ fn shutdown_drain_scenario() {
         let dir = std::env::temp_dir().join(format!("fgbs-drain-{}", std::process::id()));
         let store = Arc::new(Store::open(&dir).expect("open store"));
         let service = Arc::new(Service::new(PipelineConfig::fast().with_threads(1), store));
-        let tuning = LoopOptions {
+        let opts = ServeOptions {
             event_loop,
-            ..LoopOptions::default()
+            ..ServeOptions::default()
         };
         let svc = Arc::clone(&service);
-        let server = Server::start_tuned("127.0.0.1:0", 2, svc, ServeOptions::default(), tuning)
-            .expect("start server");
+        let server = Server::start_with("127.0.0.1:0", 2, svc, opts).expect("start server");
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -339,7 +334,7 @@ fn shutdown_drain_scenario() {
 
 #[test]
 fn transfer_encoding_is_refused_and_its_chunks_never_dispatched() {
-    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "chunked");
+    let harness = Harness::start(ServeOptions::default(), "chunked");
     // The chunk data is itself a well-formed request: a server that
     // skipped the coded body would answer it (404) and then the
     // pipelined `/health` (200).
@@ -375,11 +370,7 @@ proptest! {
 
     #[test]
     fn conflicting_content_lengths_get_400_on_the_wire(a in 0usize..512, b in 0usize..512) {
-        let harness = Harness::start(
-            ServeOptions::default(),
-            LoopOptions::default(),
-            "dup-cl",
-        );
+        let harness = Harness::start(ServeOptions::default(), "dup-cl");
         let mut stream = harness.connect();
         // No body bytes follow: a conflicting head must fail eagerly,
         // an agreeing one waits for (and here: gets) its payload.

@@ -41,6 +41,7 @@ fn server_addr() -> SocketAddr {
                 read_timeout: Duration::from_millis(50),
                 write_timeout: Duration::from_millis(500),
                 max_body: 4096,
+                ..ServeOptions::default()
             };
             let server = Server::start_with("127.0.0.1:0", 2, service, opts).expect("start server");
             let addr = server.addr();

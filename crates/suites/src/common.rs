@@ -21,6 +21,24 @@ pub enum Class {
 // Sandy Bridge L3 1 MB. Every fits-in/falls-out-of-cache relationship of
 // the paper is preserved at this scale (see DESIGN.md).
 impl Class {
+    /// The class's name on the command line and in queries: the one
+    /// class-name table the CLI, the daemon and the experiment binaries
+    /// share.
+    pub fn name(self) -> &'static str {
+        match self {
+            Class::Test => "test",
+            Class::A => "a",
+            Class::B => "b",
+        }
+    }
+
+    /// The class whose [`Class::name`] is exactly `name`.
+    pub fn from_name(name: &str) -> Option<Class> {
+        [Class::Test, Class::A, Class::B]
+            .into_iter()
+            .find(|c| c.name() == name)
+    }
+
     /// A small vector length (16 KB: L2-resident on every machine).
     pub fn small_vec(self) -> u64 {
         match self {
@@ -260,6 +278,15 @@ mod tests {
         assert!(Class::Test.rounds() < Class::A.rounds());
         assert!(Class::A.rounds() < Class::B.rounds());
         assert!(Class::Test.repeat_scale() <= Class::B.repeat_scale());
+    }
+
+    #[test]
+    fn class_names_round_trip_exactly() {
+        for c in [Class::Test, Class::A, Class::B] {
+            assert_eq!(Class::from_name(c.name()), Some(c));
+        }
+        assert_eq!(Class::from_name("TEST"), None, "callers lower-case first");
+        assert_eq!(Class::from_name("c"), None);
     }
 
     #[test]

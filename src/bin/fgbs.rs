@@ -194,8 +194,9 @@ options:
   --seed N             features: GA seed (default 7)
   --trace FILE         record a Chrome trace (chrome://tracing) of the run
   --fault-spec SPEC    arm deterministic failpoints for chaos testing, e.g.
-                       'store.read=err:0.2#3,stage.reduce=delay:50'
-                       (actions: err|delay[:ms]|short[:keep]|corrupt)
+                       'store.read=err:0.2#3,stage.reduce=delay:1.0:20'
+                       (site=action[:prob[:param]][#maxfires]; actions:
+                       err|delay (param ms)|short (param bytes)|corrupt)
   --fault-seed N       seed for failpoint decisions: same spec + seed + run
                        order reproduces the exact same injected faults
   --quick              bench: fewer iterations, skip the slowest entries
@@ -357,12 +358,10 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 }
             }
             "--class" => {
-                cli.class = match it.next().map(String::as_str) {
-                    Some("test") => Class::Test,
-                    Some("a") => Class::A,
-                    Some("b") => Class::B,
-                    other => return Err(format!("--class test|a|b, got {other:?}")),
-                }
+                let name = it.next().map(String::as_str);
+                cli.class = name
+                    .and_then(Class::from_name)
+                    .ok_or_else(|| format!("--class test|a|b, got {name:?}"))?
             }
             "--k" => {
                 cli.k = match it.next().map(String::as_str) {
@@ -478,14 +477,12 @@ fn parse_num<T: std::str::FromStr>(
 }
 
 fn target_by_name(name: &str) -> Result<Arch, String> {
-    let arch = match name.to_ascii_lowercase().as_str() {
-        "atom" => Arch::atom(),
-        "core2" | "core-2" | "core 2" => Arch::core2(),
-        "sb" | "sandybridge" | "sandy-bridge" => Arch::sandy_bridge(),
-        "nehalem" | "ref" => Arch::nehalem(),
-        other => return Err(format!("unknown target `{other}` (atom|core2|sb)")),
-    };
-    Ok(arch.scaled(PARK_SCALE))
+    Arch::scaled_by_name(name).ok_or_else(|| {
+        format!(
+            "unknown target `{}` (atom|core2|sb)",
+            name.to_ascii_lowercase()
+        )
+    })
 }
 
 /// The artifact store under the results dir (`<results-dir>/store`).
@@ -514,14 +511,6 @@ fn suite_apps(cli: &Cli) -> Vec<fgbs::extract::Application> {
         SuiteKind::Nr => nr_suite(cli.class),
         SuiteKind::Nas => nas_suite(cli.class),
         SuiteKind::Bigdata => bigdata_suite(cli.class),
-    }
-}
-
-fn class_name(class: Class) -> &'static str {
-    match class {
-        Class::Test => "test",
-        Class::A => "a",
-        Class::B => "b",
     }
 }
 
@@ -782,7 +771,7 @@ fn cmd_snippet_pack(cli: &Cli) -> Result<(), String> {
         .ok_or("snippet pack requires --out FILE")?;
     let apps = suite_apps(cli);
     let pool = WorkPool::new(cli.threads);
-    let class = class_name(cli.class);
+    let class = cli.class.name();
     let pack = build_pack(
         &format!("{}-{class}", cli.suite.as_str()),
         cli.suite.as_str(),

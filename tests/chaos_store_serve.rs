@@ -204,6 +204,35 @@ fn expired_deadline_is_a_503_that_is_never_cached() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A cold profile passes the `stage.profile` gate under the request's
+/// own deadline before it joins the shared profile flight, so an
+/// over-budget cold request answers `503` naming `profile` instead of
+/// profiling for its whole run and failing at a later stage.
+#[test]
+fn cold_profile_honours_the_request_deadline() {
+    let _g = fault_guard();
+    let dir = scratch("profile-deadline");
+    let (_, service) = service_over(&dir);
+
+    fault::install(FaultPlan::parse("stage.profile=delay:1.0:60", 7).expect("valid spec"));
+    let mut req = predict_request();
+    req.query.push(("deadline_ms".to_string(), "1".to_string()));
+    let resp = service.handle(&req);
+    let body = String::from_utf8_lossy(&resp.body).into_owned();
+    assert_eq!(resp.status, 503, "{body}");
+    assert!(body.contains("\"stage\":\"profile\""), "{body}");
+
+    // The refusal memoised nothing: a realistic budget profiles and
+    // answers.
+    let mut req = predict_request();
+    req.query.push(("deadline_ms".to_string(), "60000".to_string()));
+    let resp = service.handle(&req);
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    fault::clear();
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A corrupt MANIFEST does not brick the daemon: healing open
 /// quarantines it and rebuilds the index from the surviving objects.
 #[test]
